@@ -6,12 +6,11 @@
 //!
 //! A connection starts in JSON-line mode. A client that wants the binary codec sends
 //! one plain text line before anything else: [`hello_line`] (`gem-wire-binary <v>`).
-//! A binary-capable server answers [`accept_line`] (`gem-wire-binary ok <v>`) and both
-//! ends switch to frames; a JSON-only server answers the hello like any malformed
-//! request — an uncorrelated `protocol_error` line — which the client takes as
-//! "negotiate down", staying on JSON over the **same, still-healthy connection**.
-//! The version in the hello is [`PROTOCOL_VERSION`]: codec framing and envelope
-//! semantics version together.
+//! A server at the same version answers [`accept_line`] (`gem-wire-binary ok <v>`) and
+//! both ends switch to frames; any other answer (a server at another version declines
+//! with an uncorrelated `version_mismatch` line) is a typed connect failure, never a
+//! silent fall-back to JSON. The version in the hello is [`PROTOCOL_VERSION`]: codec
+//! framing and envelope semantics version together.
 //!
 //! ## Frame layout
 //!
@@ -126,7 +125,7 @@ pub fn accept_line() -> String {
 }
 
 /// Parse an [`accept_line`], returning the version. `None` for anything else (the
-/// client then inspects the line as a JSON response and negotiates down).
+/// client then reports the line as the server's typed decline).
 pub fn parse_accept(line: &str) -> Option<u64> {
     let rest = line
         .trim_end_matches(['\r', '\n'])
@@ -190,6 +189,20 @@ impl FrameAssembler {
     /// Bytes buffered but not yet formed into a frame.
     pub fn buffered(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Pull whatever `reader` has buffered (one `fill_buf`) into the assembler and
+    /// return how many bytes that was; `Ok(0)` means the peer closed the stream. A
+    /// read-timeout error loses nothing: partial frames stay buffered across calls.
+    ///
+    /// # Errors
+    /// Propagates the read error, read-timeout ticks included.
+    pub fn fill_from(&mut self, reader: &mut impl std::io::BufRead) -> std::io::Result<usize> {
+        let bytes = reader.fill_buf()?;
+        let read = bytes.len();
+        self.buf.extend_from_slice(bytes);
+        reader.consume(read);
+        Ok(read)
     }
 
     /// Pop the next complete frame, if one is buffered.
@@ -455,7 +468,7 @@ fn read_fit_config_fields(
 /// # Errors
 /// [`ProtoError::Parse`] when a field exceeds the format's bounds (e.g. the frame
 /// would exceed [`MAX_FRAME_LEN`] — stream such corpora as chunks instead).
-pub fn encode_request_frame(envelope: &RequestEnvelope) -> Result<Vec<u8>, ProtoError> {
+fn encode_request_frame(envelope: &RequestEnvelope) -> Result<Vec<u8>, ProtoError> {
     let mut payload = Vec::new();
     put_header(&mut payload, Some(envelope.id));
     let kind = match &envelope.body {
@@ -493,7 +506,8 @@ pub fn encode_request_frame(envelope: &RequestEnvelope) -> Result<Vec<u8>, Proto
 /// (each chunk packed greedily up to `chunk_bytes`); everything else is one frame.
 ///
 /// # Errors
-/// See [`encode_request_frame`].
+/// [`ProtoError::Parse`] when a field exceeds the format's bounds (e.g. a non-chunked
+/// frame would exceed [`MAX_FRAME_LEN`]).
 pub fn encode_request_frames(
     envelope: &RequestEnvelope,
     chunk_bytes: usize,
@@ -889,8 +903,8 @@ pub fn embed_done_frame(
 }
 
 /// Wrap a complete JSON response line (trailing newline optional) in a
-/// [`KIND_RESP_JSON`] frame — how a router forwards a JSON replica's responses to a
-/// binary client verbatim, without transcoding the body.
+/// [`KIND_RESP_JSON`] frame — how a server or router answers a binary client with a
+/// body that has no binary layout.
 ///
 /// # Errors
 /// [`ProtoError::Parse`] when the line exceeds [`MAX_FRAME_LEN`].

@@ -952,19 +952,6 @@ pub fn salvage_request_id(line: &str) -> Option<u64> {
         .and_then(|v| v.u64_field("id").ok())
 }
 
-/// Best-effort extraction of the correlation id from a response line, without
-/// decoding the body. A routing tier forwarding replica responses verbatim uses this
-/// to correlate each line against its per-replica in-flight map before deciding
-/// whether the body needs decoding at all (fan-out merges do, plain forwards do not).
-/// On the wire both directions carry the id under the `id` key —
-/// [`ResponseEnvelope::in_reply_to`] is only the Rust-side field name. Returns `None`
-/// for unparseable lines and for `id: null` (uncorrelatable framing errors).
-pub fn salvage_reply_id(line: &str) -> Option<u64> {
-    Json::parse(line.trim_end_matches(['\r', '\n']))
-        .ok()
-        .and_then(|v| v.u64_field("id").ok())
-}
-
 /// Merge per-replica [`WireStats`] into one cluster-wide view, the shape a routing
 /// tier answers a fanned-out `Stats` request with. Counters and sizes sum across
 /// replicas; the optional store-tier sizes sum over the replicas that have a store
@@ -1414,21 +1401,5 @@ mod merge_tests {
         assert_eq!(merged[0].tier, "memory", "memory copy wins over disk");
         assert_eq!(merged[1].handle, "b");
         assert_eq!(merged[1].tier, "memory");
-    }
-
-    #[test]
-    fn reply_id_salvage_reads_the_wire_id_and_rejects_null() {
-        let line = encode_response(&ResponseEnvelope::new(
-            7,
-            ResponseBody::Evicted { existed: true },
-        ));
-        assert_eq!(salvage_reply_id(&line), Some(7));
-        let uncorrelated = encode_response(&ResponseEnvelope::uncorrelated(ResponseBody::Error {
-            code: "protocol_error".to_string(),
-            message: "bad line".to_string(),
-            retry_after_ms: None,
-        }));
-        assert_eq!(salvage_reply_id(&uncorrelated), None);
-        assert_eq!(salvage_reply_id("not json"), None);
     }
 }

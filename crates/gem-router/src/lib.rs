@@ -17,7 +17,7 @@
 //!
 //! * **Placement** — [`HashRing`]: a deterministic consistent-hash ring (FNV-1a over
 //!   `replica#vnode` points). `Fit` requests are routed by computing the model key
-//!   *router-side* with the same [`gem_store::model_key`] the replica will use, so the
+//!   *router-side* with the same [`gem_store::fit_key`] the replica will use, so the
 //!   router knows the handle before the replica answers. Key movement on membership
 //!   change is bounded to ~1/N of the handles.
 //! * **Forwarding** — pipelined requests are forwarded to the owning replica with the

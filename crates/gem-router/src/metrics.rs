@@ -14,6 +14,8 @@
 //! * `router_requests_total` — client requests accepted by the front-end.
 //! * `router_fanouts_total` — fan-out requests (`stats` / `list-models` / `evict`).
 //! * `router_replications_total` — write-through snapshot copies shipped to a successor.
+//! * `router_replication_failures_total` — write-through copies that failed (each one is
+//!   also logged to stderr with the handle, owner and error).
 //! * `router_failover_moves_total` — handles re-homed by fail-over or rebalancing.
 //! * `router_no_replica_total` — requests refused because no live replica could own them.
 //! * `router_replica_state{replica=..}` — 2 = up, 1 = degraded, 0 = down.
@@ -68,6 +70,7 @@ pub struct RouterMetrics {
     requests: Arc<Counter>,
     fanouts: Arc<Counter>,
     replications: Arc<Counter>,
+    replication_failures: Arc<Counter>,
     failover_moves: Arc<Counter>,
     no_replica: Arc<Counter>,
 }
@@ -95,6 +98,10 @@ impl RouterMetrics {
             "router_replications_total",
             "write-through snapshot copies shipped to a ring successor",
         );
+        let replication_failures = inner.registry.counter(
+            "router_replication_failures_total",
+            "write-through snapshot copies that failed",
+        );
         let failover_moves = inner.registry.counter(
             "router_failover_moves_total",
             "model handles re-homed by fail-over or membership rebalancing",
@@ -108,6 +115,7 @@ impl RouterMetrics {
             requests,
             fanouts,
             replications,
+            replication_failures,
             failover_moves,
             no_replica,
         }
@@ -126,6 +134,11 @@ impl RouterMetrics {
     /// Count one write-through snapshot replication.
     pub fn inc_replication(&self) {
         self.replications.inc();
+    }
+
+    /// Count one failed write-through snapshot replication.
+    pub fn inc_replication_failure(&self) {
+        self.replication_failures.inc();
     }
 
     /// Count `n` handles re-homed by fail-over or rebalancing.

@@ -81,7 +81,7 @@ impl HashRing {
 
     /// Hash a handle's hex rendering onto the ring. Domain-separated from point
     /// hashes so a handle can never collide with a vnode by construction.
-    pub fn handle_hash(handle: &str) -> u64 {
+    fn handle_hash(handle: &str) -> u64 {
         let mut h = Fnv1a::new();
         h.write(b"gem-ring-key:");
         h.write(handle.as_bytes());

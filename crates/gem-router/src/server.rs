@@ -7,30 +7,30 @@
 //! Each client connection owns its **own** upstream connection to every replica it
 //! talks to. Client envelope ids are therefore unique per upstream connection by
 //! construction (a client already may not reuse an id it has in flight, exactly as
-//! against `gem-served` directly), so request lines are forwarded **verbatim** — no id
-//! rewriting, no re-encoding — and response lines come back the same way. The router
-//! decodes a request once, to route it; it never re-serializes what it forwards, so a
-//! byte-exact round trip through the router is structural, not incidental.
+//! against `gem-served` directly), so ids are forwarded unchanged — no id rewriting.
+//! The router decodes a request once, to route it.
 //!
 //! Routing is key-aware without extra round trips: the router computes `Fit` model
-//! keys itself with the same [`gem_store::model_key`] the replica will use, derives
+//! keys itself with the same [`gem_store::fit_key`] the replica will use, derives
 //! `FitUpdate` keys with [`gem_store::updated_model_key`], and peeks the `key` header
 //! of `PushModel` snapshots — so it knows every handle *before* any replica answers.
 //!
 //! ## Codecs
 //!
-//! The router speaks both wire codecs. A client may negotiate the `gem_proto::binary`
-//! codec exactly as against `gem-served`; each of that connection's upstreams then
-//! negotiates binary toward its replica too, so matching codecs forward **frames
-//! verbatim** — streamed `embed_rows` frames pass through without retiring the
-//! in-flight entry (the closing `embed_done` does), and chunked corpus uploads are
-//! reassembled here once, **fingerprinted incrementally while the chunks arrive**
-//! ([`gem_store::CorpusHasher`] — the routing key is ready the moment the upload
-//! completes, no second pass over megabytes of corpus), then re-chunked toward the
-//! owning replica. A replica that declines the hello (an older build, or
-//! `--json-only`) gets JSON on that upstream and the router converts: requests are
-//! re-encoded from the decoded envelope, response lines are wrapped into binary
-//! frames for the client.
+//! Every upstream speaks the `gem_proto::binary` codec: the router sends the hello on
+//! each new upstream, and a replica that declines it counts as a failed connect (it is
+//! marked down and the request retries on the next ring node). A binary client's
+//! frames therefore forward **verbatim** both ways — streamed `embed_rows` frames pass
+//! through without retiring the in-flight entry (the closing `embed_done` does) — and
+//! chunked corpus uploads are reassembled here once, **fingerprinted incrementally
+//! while the chunks arrive** ([`gem_store::CorpusHasher`] — the routing key is ready
+//! the moment the upload completes, no second pass over megabytes of corpus), then
+//! re-chunked toward the owning replica.
+//!
+//! JSON is only the client-edge debug codec. A JSON client's lines are read under the
+//! replica's line cap ([`gem_serve::framing::LineReader`]), decoded once, and
+//! re-encoded as frames toward the replica; the upstream reader reassembles each
+//! response, streamed rows included, and answers with one JSON line.
 //!
 //! `Stats`, `ListModels`, and `Evict` fan out to every live replica and answer once
 //! with a merged body. `Health` is answered by the router itself from the last probe
@@ -55,17 +55,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gem_proto::{
-    binary, decode_request, decode_response, encode_request, encode_response, merge_models,
-    merge_stats, salvage_reply_id, salvage_request_id, RequestBody, RequestEnvelope, ResponseBody,
-    ResponseEnvelope, WireModelInfo, WireStats, PROTOCOL_VERSION,
+    binary, decode_request, encode_response, merge_models, merge_stats, salvage_request_id,
+    ProtoError, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, WireModelInfo,
+    WireStats, PROTOCOL_VERSION,
 };
+use gem_serve::framing::{is_tick, JsonLine, LineReader};
 use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
 use gem_store::fingerprint::Fnv1a;
-use gem_store::{
-    config_fingerprint, corpus_fingerprint, updated_model_key_from_fingerprint, CorpusHasher,
-    ModelKey,
-};
+use gem_store::{corpus_fingerprint, fit_key, updated_model_key_from_fingerprint, CorpusHasher};
 
 use crate::cluster::{Cluster, Transition};
 use crate::metrics::ReplicaInstruments;
@@ -178,7 +176,7 @@ struct PendingMap {
 
 /// What an in-flight forwarded request is waiting for.
 enum Pending {
-    /// Forward the response line to the client verbatim.
+    /// Relay the response to the client ([`ConnShared::relay`]).
     Forward { started: Instant },
     /// Like `Forward`, but on success first record placement and write-through
     /// replicate `handle` to its ring successor (fit / fit-update / push).
@@ -232,50 +230,43 @@ impl ConnShared {
     }
 
     fn send_response(&self, in_reply_to: Option<u64>, body: ResponseBody) {
-        let envelope = match in_reply_to {
+        self.send_envelope(&match in_reply_to {
             Some(id) => ResponseEnvelope::new(id, body),
             None => ResponseEnvelope::uncorrelated(body),
-        };
-        let line = encode_response(&envelope);
+        });
+    }
+
+    /// Send a response the router built or decoded, encoded in the client's codec.
+    fn send_envelope(&self, envelope: &ResponseEnvelope) {
+        let line = encode_response(envelope);
         if self.client_is_binary() {
-            if let Ok(frame) = binary::wrap_response_line(in_reply_to, &line) {
+            if let Ok(frame) = binary::wrap_response_line(envelope.in_reply_to, &line) {
                 let _ = self.reply_tx.send(frame);
             }
         } else {
-            let mut bytes = line.into_bytes();
-            if !bytes.ends_with(b"\n") {
-                bytes.push(b'\n');
-            }
-            let _ = self.reply_tx.send(bytes);
+            let _ = self.reply_tx.send(line.into_bytes());
         }
     }
 
-    /// Forward a replica's JSON response line to the client in the client's codec:
-    /// verbatim toward a JSON client, wrapped into a `resp_json` frame toward a
-    /// binary one (the id is salvaged from the line so the wrap stays correlated).
-    fn forward_json_line(&self, line: &str) {
-        if self.client_is_binary() {
-            let id = salvage_reply_id(line);
-            match binary::wrap_response_line(id, line) {
-                Ok(frame) => {
-                    let _ = self.reply_tx.send(frame);
-                }
-                Err(e) => self.send_error(id, e.code(), e.to_string()),
-            }
-        } else {
-            let mut bytes = line.as_bytes().to_vec();
-            if !bytes.ends_with(b"\n") {
-                bytes.push(b'\n');
-            }
-            let _ = self.reply_tx.send(bytes);
-        }
-    }
-
-    /// Forward a replica's binary response frame to the client verbatim (only ever
-    /// called when the client negotiated binary — upstreams mirror the client codec).
+    /// Forward a replica's response frame to the client verbatim (binary clients only:
+    /// a JSON client gets the decoded response through [`ConnShared::relay`]).
     fn forward_frame(&self, frame: &binary::Frame) {
         if let Ok(bytes) = binary::frame_bytes(frame.kind, &frame.payload) {
             let _ = self.reply_tx.send(bytes);
+        }
+    }
+
+    /// Answer request `id` with the replica's completed response: the frame verbatim
+    /// toward a binary client, the decoded envelope as one JSON line toward a JSON
+    /// client (or the typed error when the frame failed to decode).
+    fn relay(&self, id: u64, frame: &binary::Frame, decoded: Option<Decoded>) {
+        match decoded {
+            _ if self.client_is_binary() => self.forward_frame(frame),
+            Some(Ok(Some(envelope))) => self.send_envelope(&envelope),
+            Some(Err(e)) => self.send_error(Some(id), e.code(), e.to_string()),
+            // JSON clients' replies are always decoded, and a completing frame always
+            // decodes to a response: there is nothing else to relay.
+            Some(Ok(None)) | None => {}
         }
     }
 
@@ -357,52 +348,37 @@ impl ConnShared {
     }
 }
 
-/// Which codec one upstream connection negotiated with its replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UpstreamCodec {
-    Json,
-    Binary,
-}
-
-/// What the router has in hand for one request when it forwards it. Matching codecs
-/// forward the verbatim bytes; a mismatch (or a reassembled chunked upload, which has
-/// no single verbatim form) re-encodes from the decoded envelope.
+/// What the router has in hand for one request when it forwards it: a binary client's
+/// frame goes up verbatim; a JSON client's line, or a reassembled chunked upload, has
+/// no verbatim frame and is re-encoded from the decoded envelope.
 enum ForwardPayload<'a> {
-    /// The client's original newline-delimited JSON request line.
-    JsonLine(&'a [u8]),
     /// The client's original binary frame, re-serialized byte-for-byte.
     Frame(&'a [u8]),
-    /// No verbatim bytes exist: always re-encode from the envelope (re-chunking the
-    /// corpus toward binary replicas).
+    /// Encode frames from the envelope (re-chunking a large corpus).
     Reencode,
 }
+
+/// A completing response frame, decoded against the upstream's streamed-row state.
+type Decoded = Result<Option<ResponseEnvelope>, ProtoError>;
 
 /// One upstream connection owned by a client connection.
 struct Upstream {
     write: TcpStream,
-    codec: UpstreamCodec,
     pending: Arc<Mutex<PendingMap>>,
     reader: Option<JoinHandle<()>>,
     instruments: ReplicaInstruments,
 }
 
 impl Upstream {
-    /// Send one request on this upstream in its negotiated codec.
+    /// Send one request on this upstream.
     fn send(
         &mut self,
         payload: &ForwardPayload<'_>,
         envelope: &RequestEnvelope,
     ) -> std::io::Result<()> {
-        match (payload, self.codec) {
-            (ForwardPayload::JsonLine(raw), UpstreamCodec::Json) => {
-                write_line(&mut self.write, raw)
-            }
-            (ForwardPayload::Frame(bytes), UpstreamCodec::Binary) => {
-                self.write.write_all(bytes)?;
-                self.write.flush()
-            }
-            (_, UpstreamCodec::Binary) => {
-                // Re-encode (and re-chunk a large corpus) toward the binary replica.
+        match payload {
+            ForwardPayload::Frame(bytes) => self.write.write_all(bytes)?,
+            ForwardPayload::Reencode => {
                 let frames = binary::encode_request_frames(envelope, binary::DEFAULT_CHUNK_BYTES)
                     .map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
@@ -410,16 +386,9 @@ impl Upstream {
                 for frame in &frames {
                     self.write.write_all(frame)?;
                 }
-                self.write.flush()
-            }
-            (_, UpstreamCodec::Json) => {
-                // A JSON replica gets one line; if the corpus outgrows the replica's
-                // line cap it answers the typed over-cap error, which forwards back —
-                // the client's remedy is a replica set that accepts binary.
-                let line = encode_request(envelope);
-                write_line(&mut self.write, line.as_bytes())
             }
         }
+        self.write.flush()
     }
 
     /// Register `entry` under `id` unless the reader already drained and closed this
@@ -451,23 +420,16 @@ impl Forwarder {
         &self.shared.cluster
     }
 
-    /// Get (or open) this connection's upstream to `addr`, spawning its reader.
-    ///
-    /// When the client negotiated binary the new upstream offers the replica the same
-    /// hello before anything else crosses it; a declined offer (an older replica, or
-    /// one running `--json-only`) leaves that upstream on JSON and the forwarding
-    /// layer converts per request.
+    /// Get (or open) this connection's upstream to `addr`, spawning its reader. A new
+    /// upstream negotiates the binary codec before anything else crosses it; a replica
+    /// that declines fails the connect like a refused one.
     fn upstream(&mut self, addr: &str) -> Result<&mut Upstream, ()> {
         if !self.upstreams.contains_key(addr) {
             let timeout = self.cluster().connect_timeout();
             let mut stream = connect_stream(addr, timeout).map_err(|_| ())?;
             let read_half = stream.try_clone().map_err(|_| ())?;
             let mut buffered = BufReader::new(read_half);
-            let codec = if self.shared.client_is_binary() {
-                negotiate_upstream_codec(&mut stream, &mut buffered, timeout).map_err(|_| ())?
-            } else {
-                UpstreamCodec::Json
-            };
+            negotiate_upstream(&mut stream, &mut buffered, timeout).map_err(|_| ())?;
             let pending = Arc::new(Mutex::new(PendingMap::default()));
             let instruments = self.cluster().metrics().replica(addr);
             let reader = {
@@ -476,14 +438,13 @@ impl Forwarder {
                 let instruments = instruments.clone();
                 let addr = addr.to_string();
                 std::thread::spawn(move || {
-                    read_upstream(buffered, codec, &addr, &shared, &pending, &instruments);
+                    read_upstream(buffered, &addr, &shared, &pending, &instruments);
                 })
             };
             self.upstreams.insert(
                 addr.to_string(),
                 Upstream {
                     write: stream,
-                    codec,
                     pending,
                     reader: Some(reader),
                     instruments,
@@ -625,7 +586,7 @@ impl Forwarder {
         }
     }
 
-    /// Decode, route, and forward one client JSON line.
+    /// Decode, route, and forward one client JSON line (re-encoded as frames upstream).
     fn handle_line(&mut self, raw: &[u8]) {
         let text = match std::str::from_utf8(raw) {
             Ok(text) => text,
@@ -646,7 +607,7 @@ impl Forwarder {
                 return;
             }
         };
-        self.dispatch(envelope, ForwardPayload::JsonLine(raw), None);
+        self.dispatch(envelope, ForwardPayload::Reencode, None);
     }
 
     /// Route and forward one decoded request, whatever codec it arrived in.
@@ -691,16 +652,10 @@ impl Forwarder {
                 features,
                 composition,
             } => {
-                // Compute the handle exactly as the replica will (composition override
-                // applied first), so the router can place the model before it exists.
-                let mut config = config.clone();
-                if let Some(composition) = composition {
-                    config.composition = *composition;
-                }
-                let key = ModelKey {
-                    corpus: corpus_fp.unwrap_or_else(|| corpus_fingerprint(corpus)),
-                    config: config_fingerprint(&config, *features),
-                };
+                // Compute the handle exactly as the replica will, so the router can
+                // place the model before it exists.
+                let corpus_fp = corpus_fp.unwrap_or_else(|| corpus_fingerprint(corpus));
+                let (key, _) = fit_key(corpus_fp, config.clone(), *features, *composition);
                 let handle = key.to_hex();
                 let route_handle = handle.clone();
                 self.forward(
@@ -844,24 +799,14 @@ fn connect_stream(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     }))
 }
 
-/// Write one request line, guaranteeing the trailing newline.
-fn write_line(stream: &mut TcpStream, raw: &[u8]) -> std::io::Result<()> {
-    stream.write_all(raw)?;
-    if !raw.ends_with(b"\n") {
-        stream.write_all(b"\n")?;
-    }
-    stream.flush()
-}
-
-/// Offer the binary hello on a fresh upstream and read the replica's one-line
-/// verdict. Anything other than a version-matched accept (a typed decline from a
-/// `--json-only` or older replica) leaves the upstream on JSON; the verdict line is
-/// consumed either way, so the upstream reader starts on a clean stream.
-fn negotiate_upstream_codec(
+/// Send the binary hello on a fresh upstream and read the replica's one-line verdict.
+/// Anything other than a version-matched accept is an error: the upstream is never
+/// opened, and the forward fails over like a refused connect.
+fn negotiate_upstream(
     write: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     timeout: Duration,
-) -> std::io::Result<UpstreamCodec> {
+) -> std::io::Result<()> {
     write.write_all(binary::hello_line().as_bytes())?;
     write.flush()?;
     // The verdict read is the one upstream read this thread performs itself; bound it
@@ -873,13 +818,13 @@ fn negotiate_upstream_codec(
     if n == 0 {
         return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof));
     }
-    Ok(
-        if binary::parse_accept(&verdict) == Some(PROTOCOL_VERSION) {
-            UpstreamCodec::Binary
-        } else {
-            UpstreamCodec::Json
-        },
-    )
+    if binary::parse_accept(&verdict) != Some(PROTOCOL_VERSION) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("replica declined the binary codec: {}", verdict.trim_end()),
+        ));
+    }
+    Ok(())
 }
 
 /// One upstream connection's reader: correlate responses with pending requests, run
@@ -887,16 +832,12 @@ fn negotiate_upstream_codec(
 /// replica dies with requests in flight — drain them to `replica_unavailable`.
 fn read_upstream(
     reader: BufReader<TcpStream>,
-    codec: UpstreamCodec,
     addr: &str,
     shared: &Arc<ConnShared>,
     pending: &Arc<Mutex<PendingMap>>,
     instruments: &ReplicaInstruments,
 ) {
-    match codec {
-        UpstreamCodec::Json => read_upstream_lines(reader, addr, shared, pending, instruments),
-        UpstreamCodec::Binary => read_upstream_frames(reader, addr, shared, pending, instruments),
-    }
+    read_responses(reader, addr, shared, pending, instruments);
     if shared.closing.load(Ordering::SeqCst) {
         return;
     }
@@ -931,71 +872,13 @@ fn read_upstream(
     }
 }
 
-/// The JSON upstream reader loop: newline-delimited response lines, forwarded in the
-/// client's codec. Returns when the upstream EOFs or fails.
-fn read_upstream_lines(
-    mut reader: BufReader<TcpStream>,
-    addr: &str,
-    shared: &Arc<ConnShared>,
-    pending: &Arc<Mutex<PendingMap>>,
-    instruments: &ReplicaInstruments,
-) {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let Some(id) = salvage_reply_id(&line) else {
-                    continue; // uncorrelated noise; nothing to answer
-                };
-                let entry = lock_or_recover(pending).entries.remove(&id);
-                match entry {
-                    None => {}
-                    Some(Pending::Forward { started }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.forward_json_line(&line);
-                    }
-                    Some(Pending::Tracked { started, handle }) => {
-                        instruments.latency.record(started.elapsed());
-                        let trimmed = line.trim_end_matches(['\r', '\n']);
-                        let succeeded = matches!(
-                            decode_response(trimmed),
-                            Ok(envelope) if !matches!(envelope.body, ResponseBody::Error { .. })
-                        );
-                        if succeeded {
-                            // Write-through BEFORE the client sees success: once the
-                            // response is out, fail-over must already be covered.
-                            shared.cluster.record_placement(&handle, addr);
-                            let _ = shared.cluster.replicate(&handle, addr);
-                        }
-                        shared.forward_json_line(&line);
-                    }
-                    Some(Pending::Fan { started, group }) => {
-                        instruments.latency.record(started.elapsed());
-                        let trimmed = line.trim_end_matches(['\r', '\n']);
-                        let body = match decode_response(trimmed) {
-                            Ok(envelope) => match envelope.body {
-                                ResponseBody::Error { .. } => None,
-                                body => Some(body),
-                            },
-                            Err(_) => None,
-                        };
-                        shared.fold_fan_leg(group, body);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The binary upstream reader loop: length-prefixed frames. Streamed `embed_rows`
-/// frames pass through to the client **without retiring** the in-flight entry — the
-/// closing `embed_done` (or a wrapped JSON response) does that. Returns when the
-/// upstream EOFs, fails, or violates framing (indistinguishable from corruption, so
-/// it is treated as a replica death and everything in flight drains to the retryable
-/// error).
-fn read_upstream_frames(
+/// The upstream frame loop. Streamed `embed_rows` frames pass through to a binary
+/// client **without retiring** the in-flight entry (a JSON client's rows accumulate
+/// here instead); the closing `embed_done` or `resp_json` frame retires it. Returns
+/// when the upstream EOFs, fails, or violates framing (indistinguishable from
+/// corruption, so it is treated as a replica death and everything in flight drains to
+/// the retryable error).
+fn read_responses(
     mut reader: BufReader<TcpStream>,
     addr: &str,
     shared: &Arc<ConnShared>,
@@ -1004,106 +887,93 @@ fn read_upstream_frames(
 ) {
     let mut assembler = binary::FrameAssembler::new();
     let mut partials = binary::EmbedPartials::new();
+    let client_binary = shared.client_is_binary();
     loop {
         let frame = match assembler.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => {
-                match reader.fill_buf() {
-                    Ok([]) => return,
-                    Ok(buf) => {
-                        let n = buf.len();
-                        assembler.push(buf);
-                        reader.consume(n);
-                    }
-                    Err(_) => return,
-                }
-                continue;
-            }
+            Ok(None) => match assembler.fill_from(&mut reader) {
+                Ok(0) | Err(_) => return,
+                Ok(_) => continue,
+            },
             Err(_) => return,
+        };
+        let Some(id) = frame.correlation_id() else {
+            continue; // uncorrelated noise; nothing to answer
         };
         match frame.kind {
             binary::KIND_EMBED_ROWS => {
-                // Stream through verbatim while the request stays pending; rows for
-                // an id that already drained (replica raced its own death) vanish —
-                // the drain already answered that id.
-                let live = frame
-                    .correlation_id()
-                    .is_some_and(|id| lock_or_recover(pending).entries.contains_key(&id));
-                if live {
+                // Rows for an id that already drained (the replica raced its own
+                // death) vanish — the drain already answered that id.
+                if !lock_or_recover(pending).entries.contains_key(&id) {
+                    continue;
+                }
+                if client_binary {
                     shared.forward_frame(&frame);
+                } else {
+                    // A malformed slice drops the stream's rows, so its `embed_done`
+                    // fails to decode and answers the typed error.
+                    let _ = binary::decode_response_frame(&frame, &mut partials);
                 }
+                continue;
             }
-            binary::KIND_EMBED_DONE => {
-                let Some(id) = frame.correlation_id() else {
-                    continue;
-                };
-                let entry = lock_or_recover(pending).entries.remove(&id);
-                match entry {
-                    None => {}
-                    Some(Pending::Forward { started }) | Some(Pending::Tracked { started, .. }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.forward_frame(&frame);
-                    }
-                    // Embeds never fan out; fold defensively so a confused replica
-                    // cannot wedge a fan group forever.
-                    Some(Pending::Fan { started, group }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.fold_fan_leg(group, None);
-                    }
-                }
-            }
-            binary::KIND_RESP_JSON => {
-                let Some(id) = frame.correlation_id() else {
-                    continue;
-                };
-                let decoded = binary::decode_response_frame(&frame, &mut partials);
-                let entry = lock_or_recover(pending).entries.remove(&id);
-                match entry {
-                    None => {}
-                    Some(Pending::Forward { started }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.forward_frame(&frame);
-                    }
-                    Some(Pending::Tracked { started, handle }) => {
-                        instruments.latency.record(started.elapsed());
-                        let succeeded = matches!(
-                            &decoded,
-                            Ok(Some(envelope))
-                                if !matches!(envelope.body, ResponseBody::Error { .. })
-                        );
-                        if succeeded {
-                            // Write-through BEFORE the client sees success: once the
-                            // response is out, fail-over must already be covered.
-                            shared.cluster.record_placement(&handle, addr);
-                            let _ = shared.cluster.replicate(&handle, addr);
-                        }
-                        shared.forward_frame(&frame);
-                    }
-                    Some(Pending::Fan { started, group }) => {
-                        instruments.latency.record(started.elapsed());
-                        let body = match decoded {
-                            Ok(Some(envelope)) => match envelope.body {
-                                ResponseBody::Error { .. } => None,
-                                body => Some(body),
-                            },
-                            _ => None,
-                        };
-                        shared.fold_fan_leg(group, body);
-                    }
-                }
-            }
-            _ => {} // an unknown response kind is uncorrelated noise
+            binary::KIND_EMBED_DONE | binary::KIND_RESP_JSON => {}
+            _ => continue, // an unknown response kind is uncorrelated noise
         }
+        let Some(entry) = lock_or_recover(pending).entries.remove(&id) else {
+            continue;
+        };
+        // Decode only what something reads: write-through needs the verdict, a fan-out
+        // the body, a JSON client the whole response. A binary client's plain forwards
+        // (embeds, multi-megabyte snapshots) pass through undecoded.
+        let decoded = match (&entry, client_binary) {
+            (Pending::Forward { .. }, true) => None,
+            _ => Some(binary::decode_response_frame(&frame, &mut partials)),
+        };
+        let (Pending::Forward { started }
+        | Pending::Tracked { started, .. }
+        | Pending::Fan { started, .. }) = &entry;
+        instruments.latency.record(started.elapsed());
+        match entry {
+            Pending::Forward { .. } => shared.relay(id, &frame, decoded),
+            Pending::Tracked { handle, .. } => {
+                if success_body(&decoded).is_some() {
+                    // Write-through BEFORE the client sees success: once the response
+                    // is out, fail-over must already be covered.
+                    shared.cluster.record_placement(&handle, addr);
+                    if let Err(error) = shared.cluster.replicate(&handle, addr) {
+                        shared.cluster.metrics().inc_replication_failure();
+                        eprintln!(
+                            "gem-routed: write-through replication of {handle} from owner \
+                             {addr} failed: {error}"
+                        );
+                    }
+                }
+                shared.relay(id, &frame, decoded);
+            }
+            Pending::Fan { group, .. } => {
+                shared.fold_fan_leg(group, success_body(&decoded).cloned());
+            }
+        }
+    }
+}
+
+/// The body of a decoded success response; `None` for typed errors, undecodable
+/// frames, and responses nobody decoded.
+fn success_body(decoded: &Option<Decoded>) -> Option<&ResponseBody> {
+    match decoded {
+        Some(Ok(Some(envelope))) if !matches!(envelope.body, ResponseBody::Error { .. }) => {
+            Some(&envelope.body)
+        }
+        _ => None,
     }
 }
 
 /// Serve one client connection: reader loop here, writer on its own thread, upstream
 /// readers spawned on demand.
 ///
-/// A connection starts in JSON line mode. If the **first** line is a version-matched
-/// binary hello the router accepts it (it always speaks binary; upstream replicas may
-/// still individually negotiate down) and the connection switches to frame mode for
-/// its whole remaining life.
+/// A connection starts in JSON line mode, read under the replica's line cap. If the
+/// **first** line is a version-matched binary hello the router accepts it and the
+/// connection switches to frame mode for its whole remaining life.
 fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
@@ -1128,57 +998,46 @@ fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<Atom
     };
 
     let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
+    let mut lines = LineReader::default();
     let mut awaiting_first_line = true;
     while !shutdown.load(Ordering::SeqCst) {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break, // client hung up
-            Ok(_) => {
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    line.clear();
+        let line = match lines.read(&mut reader) {
+            Ok((JsonLine::Line(line), _)) => line,
+            Ok((JsonLine::Oversized { id, error }, _)) => {
+                shared.send_error(id, error.code(), error.to_string());
+                awaiting_first_line = false;
+                continue;
+            }
+            Ok((JsonLine::Eof, _)) => break,   // client hung up
+            Err(e) if is_tick(&e) => continue, // shutdown tick; the partial line is kept
+            Err(_) => break,
+        };
+        if line.iter().all(u8::is_ascii_whitespace) {
+            continue;
+        }
+        if std::mem::take(&mut awaiting_first_line) {
+            match std::str::from_utf8(&line)
+                .ok()
+                .and_then(binary::parse_hello)
+            {
+                Some(version) if version == PROTOCOL_VERSION => {
+                    shared.client_binary.store(true, Ordering::SeqCst);
+                    let _ = shared.reply_tx.send(binary::accept_line().into_bytes());
+                    serve_binary_client(reader, &mut forwarder, &shutdown);
+                    break;
+                }
+                Some(version) => {
+                    let error = ProtoError::VersionMismatch {
+                        found: version,
+                        expected: PROTOCOL_VERSION,
+                    };
+                    shared.send_error(None, error.code(), error.to_string());
                     continue;
                 }
-                if awaiting_first_line {
-                    awaiting_first_line = false;
-                    let offer = std::str::from_utf8(&line)
-                        .ok()
-                        .and_then(binary::parse_hello);
-                    match offer {
-                        Some(version) if version == PROTOCOL_VERSION => {
-                            shared.client_binary.store(true, Ordering::SeqCst);
-                            let _ = shared.reply_tx.send(binary::accept_line().into_bytes());
-                            serve_binary_client(reader, &mut forwarder, &shutdown);
-                            break;
-                        }
-                        Some(version) => {
-                            shared.send_error(
-                                None,
-                                "version_mismatch",
-                                format!(
-                                    "binary codec hello names protocol version \
-                                     {version}; this router speaks {PROTOCOL_VERSION} \
-                                     — continuing in JSON"
-                                ),
-                            );
-                            line.clear();
-                            continue;
-                        }
-                        None => {} // an ordinary request line; fall through
-                    }
-                }
-                forwarder.handle_line(&line);
-                line.clear();
+                None => {} // an ordinary request line; fall through
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // shutdown tick; keep any partial line
-            }
-            Err(_) => break,
         }
+        forwarder.handle_line(&line);
     }
     forwarder.close();
     // Every holder of a reply sender (forwarder's shared clone, ours, and the
@@ -1192,8 +1051,8 @@ fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<Atom
 ///
 /// Chunked uploads are reassembled here exactly once, and — the routing win — the
 /// corpus fingerprint is computed **incrementally from the chunk events**, so by the
-/// time `end_fit` lands the model key (identical to the replica's, and to an offline
-/// [`gem_store::model_key`]) costs two hash finishes instead of a second multi-
+/// time `end_fit` lands the model key (identical to the replica's [`fit_key`], and to
+/// an offline [`gem_store::model_key`]) costs two hash finishes instead of a second multi-
 /// megabyte corpus walk.
 fn serve_binary_client(
     mut reader: BufReader<TcpStream>,
@@ -1206,26 +1065,12 @@ fn serve_binary_client(
     while !shutdown.load(Ordering::SeqCst) {
         let frame = match assembler.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => {
-                match reader.fill_buf() {
-                    Ok([]) => return, // client hung up
-                    Ok(buf) => {
-                        let n = buf.len();
-                        assembler.push(buf);
-                        reader.consume(n);
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        continue; // shutdown tick
-                    }
-                    Err(_) => return,
-                }
-                continue;
-            }
+            Ok(None) => match assembler.fill_from(&mut reader) {
+                Ok(0) => return, // client hung up
+                Ok(_) => continue,
+                Err(e) if is_tick(&e) => continue, // shutdown tick
+                Err(_) => return,
+            },
             Err(e) => {
                 // A framing violation has no resynchronisation point on a byte
                 // stream: answer the typed error uncorrelated and drop the link.
@@ -1298,7 +1143,8 @@ fn write_replies(mut stream: TcpStream, replies: &mpsc::Receiver<Vec<u8>>) {
 mod tests {
     use super::*;
     use crate::metrics::RouterMetrics;
-    use gem_core::{FeatureSet, GemColumn, GemConfig, MethodRegistry};
+    use gem_core::{Composition, FeatureSet, GemColumn, GemConfig, MethodRegistry};
+    use gem_proto::decode_response;
     use gem_serve::client::{ClientError, GemClient};
     use gem_serve::{model_key, EmbedService, GemServer, ServerHandle};
 
@@ -1356,16 +1202,13 @@ mod tests {
         let _ = thread.join();
     }
 
-    fn real_replica(json_only: bool) -> (ServerHandle, JoinHandle<std::io::Result<()>>) {
+    fn real_replica() -> (ServerHandle, JoinHandle<std::io::Result<()>>) {
         let config = GemConfig::fast();
         let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
         service.register_gem_family(&config);
-        let mut server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
+        let server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
             .expect("bind replica")
             .with_workers(2);
-        if json_only {
-            server = server.with_json_only();
-        }
         let handle = server.handle().expect("replica handle");
         let join = std::thread::spawn(move || server.run());
         (handle, join)
@@ -1373,7 +1216,7 @@ mod tests {
 
     #[allow(clippy::type_complexity)]
     fn router_over(
-        replica: SocketAddr,
+        replicas: &[String],
     ) -> (
         Arc<Cluster>,
         RouterHandle,
@@ -1382,7 +1225,7 @@ mod tests {
     ) {
         let metrics = Arc::new(RouterMetrics::new());
         let cluster = Arc::new(Cluster::with_options(
-            &[replica.to_string()],
+            replicas,
             metrics,
             8,
             1,
@@ -1397,11 +1240,15 @@ mod tests {
     }
 
     fn test_corpus() -> Vec<GemColumn> {
-        (0..4)
+        shifted_corpus(4, 0.0)
+    }
+
+    fn shifted_corpus(columns: i32, shift: f64) -> Vec<GemColumn> {
+        (0..columns)
             .map(|c| {
                 GemColumn::new(
                     (0..300)
-                        .map(|i| f64::from(i) * 0.25 + f64::from(c) * 40.0)
+                        .map(|i| f64::from(i) * 0.25 + f64::from(c) * 40.0 + shift)
                         .collect(),
                     format!("col_{c}"),
                 )
@@ -1411,8 +1258,8 @@ mod tests {
 
     #[test]
     fn binary_clients_chunk_fits_through_the_router_with_incremental_keys() {
-        let (replica, replica_join) = real_replica(false);
-        let (cluster, handle, addr, thread) = router_over(replica.addr());
+        let (replica, replica_join) = real_replica();
+        let (cluster, handle, addr, thread) = router_over(&[replica.addr().to_string()]);
         let config = GemConfig::fast();
         let corpus = test_corpus();
 
@@ -1451,34 +1298,187 @@ mod tests {
     }
 
     #[test]
-    fn json_only_replicas_still_serve_binary_clients_through_the_router() {
-        let (replica, replica_join) = real_replica(true);
-        let (_cluster, handle, addr, thread) = router_over(replica.addr());
+    fn json_clients_get_the_binary_clients_bits_through_the_router() {
+        let (replica_a, join_a) = real_replica();
+        let (replica_b, join_b) = real_replica();
+        let members = [replica_a.addr().to_string(), replica_b.addr().to_string()];
+        let (_cluster, handle, addr, thread) = router_over(&members);
         let config = GemConfig::fast();
         let corpus = test_corpus();
+        // More than one 32-column transform batch, so the replica streams several
+        // `embed_rows` frames that the router must reassemble into one JSON line.
+        let queries = shifted_corpus(70, 3.5);
 
-        // The client negotiates binary with the router; the replica declines the
-        // router's upstream hello, so every request is converted to JSON on the way
-        // up and every response wrapped into a frame on the way back.
-        let mut client = GemClient::connect(addr).expect("connect");
-        assert_eq!(client.codec_name(), "binary");
-        let fitted = client
+        let mut json = GemClient::connect_json(addr).expect("json connect");
+        assert_eq!(json.codec_name(), "json");
+        let fitted = json
             .fit(&corpus, &config, FeatureSet::ds())
-            .expect("fit through codec conversion");
+            .expect("fit over the JSON edge");
         assert_eq!(
             fitted.handle,
             ModelHandle::from(model_key(&corpus, &config, FeatureSet::ds()))
         );
-        let embedded = client.embed(fitted.handle, &corpus).expect("embed");
-        assert_eq!(embedded.matrix.rows(), corpus.len());
-        let mut direct = GemClient::connect_json(replica.addr()).expect("direct connect");
-        let via_direct = direct.embed(fitted.handle, &corpus).expect("direct embed");
-        assert_eq!(embedded.matrix, via_direct.matrix);
+        let via_json = json.embed(fitted.handle, &queries).expect("json embed");
+        assert_eq!(via_json.matrix.rows(), queries.len());
+
+        let mut binary = GemClient::connect(addr).expect("binary connect");
+        assert_eq!(binary.codec_name(), "binary");
+        let via_binary = binary.embed(fitted.handle, &queries).expect("binary embed");
+        assert!(
+            via_json.matrix == via_binary.matrix,
+            "same bits over either codec"
+        );
+
+        // Stats fans out to both replicas and merges: the owner holds the fitted
+        // model and its ring successor the write-through copy.
+        let stats = json.stats().expect("merged stats");
+        assert_eq!(stats.resident_models, 2, "{stats:?}");
+        assert!(stats.fit_micros > 0);
+
+        handle.shutdown();
+        let _ = thread.join();
+        replica_a.shutdown();
+        replica_b.shutdown();
+        let _ = join_a.join();
+        let _ = join_b.join();
+    }
+
+    #[test]
+    fn composition_overrides_place_fits_under_the_replicas_handle() {
+        let (replica, replica_join) = real_replica();
+        let (cluster, handle, addr, thread) = router_over(&[replica.addr().to_string()]);
+        let config = GemConfig::fast();
+        let corpus = test_corpus();
+
+        let mut client = GemClient::connect(addr).expect("connect");
+        let plain = client
+            .fit(&corpus, &config, FeatureSet::ds())
+            .expect("plain fit");
+        let aggregated = client
+            .fit_with_composition(
+                &corpus,
+                &config,
+                FeatureSet::ds(),
+                Some(Composition::Aggregation),
+            )
+            .expect("fit with a composition override");
+        assert_ne!(
+            aggregated.handle, plain.handle,
+            "composition is part of the key"
+        );
+        assert_eq!(
+            cluster.placement_of(&aggregated.handle.to_hex()),
+            Some(replica.addr().to_string()),
+            "placement recorded under the handle the replica returned"
+        );
 
         handle.shutdown();
         let _ = thread.join();
         replica.shutdown();
         let _ = replica_join.join();
+    }
+
+    #[test]
+    fn failed_write_through_copies_are_counted() {
+        let (replica, replica_join) = real_replica();
+        let live = replica.addr().to_string();
+        // The successor refuses connections, so every write-through copy fails.
+        let (cluster, handle, addr, thread) = router_over(&[live.clone(), "127.0.0.1:1".into()]);
+        let config = GemConfig::fast();
+        // A corpus the ring places on the live replica.
+        let corpus = (0..64)
+            .map(|shift| shifted_corpus(4, f64::from(shift)))
+            .find(|corpus| {
+                let key = model_key(corpus, &config, FeatureSet::ds());
+                cluster.route_handle(&key.to_hex()) == Some(live.clone())
+            })
+            .expect("some corpus lands on the live replica");
+
+        let mut client = GemClient::connect(addr).expect("connect");
+        client
+            .fit(&corpus, &config, FeatureSet::ds())
+            .expect("the fit itself succeeds");
+        let exposition = cluster.metrics().render();
+        assert!(
+            exposition.contains("router_replication_failures_total 1"),
+            "{exposition}"
+        );
+
+        handle.shutdown();
+        let _ = thread.join();
+        replica.shutdown();
+        let _ = replica_join.join();
+    }
+
+    #[test]
+    fn replicas_that_decline_the_binary_hello_fail_like_refused_connects() {
+        // A peer that answers every hello with a version_mismatch decline.
+        let decliner = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let decliner_addr = decliner.local_addr().expect("addr");
+        // The router makes one attempt per member, so one connection arrives.
+        let declining = std::thread::spawn(move || {
+            for stream in decliner.incoming().take(1).flatten() {
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut hello = String::new();
+                let _ = reader.read_line(&mut hello);
+                let decline = ResponseEnvelope::uncorrelated(ResponseBody::Error {
+                    code: "version_mismatch".to_string(),
+                    message: "declined".to_string(),
+                    retry_after_ms: None,
+                });
+                let _ = (&stream).write_all(encode_response(&decline).as_bytes());
+            }
+        });
+        let (cluster, handle, addr, thread) = router_over(&[decliner_addr.to_string()]);
+
+        let mut client = GemClient::connect(addr).expect("connect");
+        let err = client
+            .embed(
+                ModelHandle::parse("00000000000000aa-00000000000000bb").expect("valid hex"),
+                &[],
+            )
+            .expect_err("no replica speaks binary");
+        assert_eq!(err.code(), Some(NO_REPLICA), "{err:?}");
+        assert!(
+            cluster.live_replicas().is_empty(),
+            "the decliner is marked down"
+        );
+
+        handle.shutdown();
+        let _ = thread.join();
+        let _ = declining.join();
+    }
+
+    #[test]
+    fn oversized_json_lines_get_a_typed_error_and_the_connection_lives_on() {
+        let (handle, addr, thread) = empty_router();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // A valid request padded past the cap: without the cap it would be served.
+        let mut line = String::from("{\"id\":42,\"version\":5,\"body\":{\"type\":\"health\"}");
+        line.push_str(&" ".repeat(gem_proto::MAX_JSON_LINE_BYTES));
+        line.push_str("}\n{\"id\":43,\"version\":5,\"body\":{\"type\":\"health\"}}\n");
+        stream.write_all(line.as_bytes()).expect("write");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("read");
+        let envelope = decode_response(&response).expect("decode");
+        assert_eq!(envelope.in_reply_to, Some(42), "the id is salvaged");
+        assert!(
+            matches!(&envelope.body, ResponseBody::Error { code, .. } if code == "protocol_error"),
+            "{envelope:?}"
+        );
+        response.clear();
+        reader.read_line(&mut response).expect("read");
+        let envelope = decode_response(&response).expect("decode");
+        assert_eq!(envelope.in_reply_to, Some(43));
+        assert!(
+            matches!(envelope.body, ResponseBody::Health { .. }),
+            "{envelope:?}"
+        );
+
+        handle.shutdown();
+        let _ = thread.join();
     }
 
     #[test]

@@ -48,12 +48,11 @@
 //! — up to N times, sleeping the server's `retry_after_ms` hint (200 ms when the
 //! error carries none) between attempts, instead of exiting 2 on the first shed.
 //!
-//! `--codec binary|json` (also global) pins the wire codec. By default every
-//! connection *offers* the binary codec and falls back to newline-delimited JSON
-//! against servers that decline; `--codec binary` fails instead of falling back
-//! (asserting the fleet speaks binary), and `--codec json` skips the offer entirely
-//! (debugging with `tcpdump`/`nc`, or pinning behavior against mixed fleets).
-//! `verify` ignores the pin and always runs the round trip under **both** codecs,
+//! `--codec binary|json` (also global) picks the wire codec. Every connection
+//! negotiates the binary codec by default (`--codec binary`) and fails with the
+//! server's typed error if the offer is declined; `--codec json` skips the offer and
+//! speaks newline-delimited JSON, the debug codec (for `tcpdump`/`nc`).
+//! `verify` ignores the choice and always runs the round trip under **both** codecs,
 //! failing unless the two embed matrices are bit-identical to each other and to the
 //! in-process path.
 
@@ -107,39 +106,16 @@ impl From<&str> for CliError {
 
 type CliResult = Result<(), CliError>;
 
-/// How connections pick their wire codec (the global `--codec` flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CodecChoice {
-    /// Offer binary, accept whatever the server negotiates (the default).
-    Negotiate,
-    /// Offer binary and fail unless the server accepts.
-    Binary,
-    /// Never offer; speak newline-delimited JSON.
-    Json,
-}
-
-/// The parsed `--codec` choice, set once before any command runs.
-static CODEC: std::sync::OnceLock<CodecChoice> = std::sync::OnceLock::new();
-
-fn codec_choice() -> CodecChoice {
-    CODEC.get().copied().unwrap_or(CodecChoice::Negotiate)
-}
+/// Whether `--codec json` pinned every connection to the JSON debug codec, set once
+/// before any command runs.
+static JSON_CODEC: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Connect honoring the global codec choice.
 fn connect_to(addr: &str) -> Result<GemClient, CliError> {
-    match codec_choice() {
-        CodecChoice::Json => GemClient::connect_json(addr).map_err(CliError::from),
-        CodecChoice::Negotiate => GemClient::connect(addr).map_err(CliError::from),
-        CodecChoice::Binary => {
-            let client = GemClient::connect(addr).map_err(CliError::from)?;
-            if client.codec_name() != "binary" {
-                return Err(CliError::Usage(format!(
-                    "--codec binary: {addr} declined the binary codec (older server, \
-                     or one running --json-only)"
-                )));
-            }
-            Ok(client)
-        }
+    if JSON_CODEC.load(std::sync::atomic::Ordering::Relaxed) {
+        GemClient::connect_json(addr).map_err(CliError::from)
+    } else {
+        GemClient::connect(addr).map_err(CliError::from)
     }
 }
 
@@ -632,10 +608,9 @@ fn verify(addr: &str, args: &[String]) -> CliResult {
         queries.push(column.clone());
     }
 
-    // The negotiated connection (binary against a current server, JSON against one
-    // that declines) fits and embeds; a second, deliberately JSON connection embeds
-    // the same handle. The codecs must agree bit-for-bit with each other AND with the
-    // in-process path — the gate that keeps the binary encoding honest.
+    // The binary connection fits and embeds; a second, deliberately JSON connection
+    // embeds the same handle. The codecs must agree bit-for-bit with each other AND
+    // with the in-process path — the gate that keeps the binary encoding honest.
     let mut negotiated = GemClient::connect(addr).map_err(CliError::from)?;
     let fitted = negotiated
         .fit(&corpus, &config, features)
@@ -718,13 +693,13 @@ fn take_codec_flag(args: &mut Vec<String>) -> Result<(), String> {
         .get(at + 1)
         .ok_or("--codec needs `binary` or `json`")?
         .clone();
-    let choice = match value.as_str() {
-        "binary" => CodecChoice::Binary,
-        "json" => CodecChoice::Json,
+    let json = match value.as_str() {
+        "binary" => false,
+        "json" => true,
         other => return Err(format!("--codec needs `binary` or `json`, got `{other}`")),
     };
     args.drain(at..at + 2);
-    let _ = CODEC.set(choice);
+    JSON_CODEC.store(json, std::sync::atomic::Ordering::Relaxed);
     Ok(())
 }
 

@@ -26,11 +26,11 @@
 //! (bit-exact both ways, no hex strings, no per-value allocation), oversized `Fit`
 //! corpora go up as chunked uploads ([`GemClient::with_chunk_bytes`]), and `Embed`
 //! responses stream back as row frames that are reassembled here. A server that
-//! declines the hello (a pre-v5 build, or `gem-served --json-only`) answers it with an
-//! uncorrelated error line, which this client consumes as "negotiate down": the *same*
-//! connection continues in JSON, no reconnect. [`GemClient::connect_json`] skips the
-//! hello for debugging with a wire dump; [`GemClient::codec_name`] reports what was
-//! negotiated.
+//! declines the hello (one at another protocol version) answers it with an
+//! uncorrelated error line, which `connect` returns as a typed [`ClientError`] — never
+//! a silent downgrade to JSON. [`GemClient::connect_json`] skips the hello and speaks
+//! the JSON debug codec, for a readable wire dump; [`GemClient::codec_name`] reports
+//! which codec a connection speaks.
 
 use crate::handle::ModelHandle;
 use crate::net::served_from_of;
@@ -267,11 +267,12 @@ enum WireCodec {
 }
 
 impl GemClient {
-    /// Connect to a serving address (`host:port`), negotiating the binary codec and
-    /// falling back to JSON on the same connection when the server declines.
+    /// Connect to a serving address (`host:port`) and negotiate the binary codec.
     ///
     /// # Errors
-    /// [`ClientError::Io`] when the connection cannot be established.
+    /// [`ClientError::Io`] when the connection cannot be established;
+    /// [`ClientError::Server`] (e.g. `version_mismatch`) when the server declines the
+    /// binary codec, and [`ClientError::Proto`] when it answers something else.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         Self::from_stream(TcpStream::connect(addr)?, true)
     }
@@ -343,10 +344,8 @@ impl GemClient {
     }
 
     /// Send the binary hello and read the server's one-line verdict. An accept at our
-    /// protocol version switches the connection to the binary codec; *any other
-    /// answer* — a `protocol_error` from a JSON-only or pre-v5 server that saw the
-    /// hello as a malformed request, a `version_mismatch` decline — downgrades to JSON
-    /// on the same connection. Only transport failures are errors.
+    /// protocol version switches the connection to the binary codec; any other answer
+    /// is an error — the server's typed decline when it sent one.
     fn negotiate_binary(&mut self) -> Result<(), ClientError> {
         self.writer.write_all(binary::hello_line().as_bytes())?;
         self.writer.flush()?;
@@ -359,12 +358,12 @@ impl GemClient {
         }
         if binary::parse_accept(&verdict) == Some(proto::PROTOCOL_VERSION) {
             self.codec = WireCodec::Binary;
+            return Ok(());
         }
-        // Any non-accept verdict (an uncorrelated error line from a server that
-        // cannot or will not speak binary) is consumed here; the connection simply
-        // stays in JSON. A garbled verdict line also lands here: JSON is the codec
-        // that makes no assumptions about the peer.
-        Ok(())
+        raise_errors(proto::decode_response(&verdict)?.body)?;
+        Err(ClientError::Unexpected {
+            detail: "the server answered the binary hello with a non-error response".to_string(),
+        })
     }
 
     /// The wire codec this connection negotiated: `"binary"` or `"json"`.
@@ -455,10 +454,7 @@ impl GemClient {
             WireCodec::Json => {
                 let mut response = String::new();
                 if self.reader.read_line(&mut response)? == 0 {
-                    return Err(ClientError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection before responding",
-                    )));
+                    return Err(closed_before_responding());
                 }
                 proto::decode_response(&response)?
             }
@@ -469,16 +465,9 @@ impl GemClient {
                         None => continue, // a row frame; keep accumulating
                     }
                 }
-                let buffered = self.reader.fill_buf()?;
-                if buffered.is_empty() {
-                    return Err(ClientError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection before responding",
-                    )));
+                if self.assembler.fill_from(&mut self.reader)? == 0 {
+                    return Err(closed_before_responding());
                 }
-                let read = buffered.len();
-                self.assembler.push(buffered);
-                self.reader.consume(read);
             },
         };
         let Some(id) = envelope.in_reply_to else {
@@ -779,6 +768,13 @@ impl GemClient {
             other => Err(unexpected("evicted", &other)),
         }
     }
+}
+
+fn closed_before_responding() -> ClientError {
+    ClientError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "server closed the connection before responding",
+    ))
 }
 
 /// Raise a typed error body to [`ClientError::Server`]; pass everything else through.

@@ -32,11 +32,12 @@
 //!   `gem-served` and `gem-client` binaries wrap them). Connections start as
 //!   newline-delimited `gem-proto` JSON envelopes; the client negotiates the binary
 //!   codec (`gem_proto::binary`: length-prefixed frames, raw-IEEE-754 f64 payloads,
-//!   chunked corpus upload, streamed embed rows) and falls back to JSON against
-//!   servers that decline. The server multiplexes every connection onto one bounded
-//!   executor pool and answers **out of order** (a cheap `Embed` overtakes a slow
-//!   `Fit`); the client's pipelined mode ([`GemClient::send`] /
-//!   [`GemClient::recv_any`]) correlates replies by envelope id.
+//!   chunked corpus upload, streamed embed rows); a declined offer is a typed error,
+//!   and JSON stays the debug codec ([`GemClient::connect_json`]). The server
+//!   multiplexes every connection onto one bounded executor pool and answers **out
+//!   of order** (a cheap `Embed` overtakes a slow `Fit`); the client's pipelined mode
+//!   ([`GemClient::send`] / [`GemClient::recv_any`]) correlates replies by envelope
+//!   id.
 //!
 //! ```
 //! use gem_core::{FeatureSet, GemColumn, GemConfig, MethodRegistry};
@@ -72,7 +73,7 @@ pub mod client;
 pub mod demo;
 mod engine;
 mod error;
-mod framing;
+pub mod framing;
 mod handle;
 pub mod metrics;
 pub mod net;

@@ -10,12 +10,12 @@
 //! f64 payloads as raw little-endian IEEE-754 bytes, `Fit`/`FitUpdate` corpora too
 //! large for one frame streamed as chunked uploads (reassembled in the reader, in
 //! order), and `Embed` responses streamed as row slices while the transform batches
-//! complete. Servers built [`GemServer::with_json_only`] decline the hello exactly like
-//! a pre-v5 build (an uncorrelated `protocol_error` line), which is what clients treat
-//! as "negotiate down to JSON". The server is deliberately `std::net`-only — the
-//! expensive work (EM fits, transforms) is CPU-bound, so a bounded pool of OS threads
-//! *is* the right executor; an async reactor would add a dependency without adding
-//! throughput.
+//! complete. A hello naming another protocol version is declined with an uncorrelated
+//! `version_mismatch` line, which clients report as a typed error; the JSON codec
+//! stays for clients that never send a hello. The server is deliberately
+//! `std::net`-only — the expensive work (EM fits, transforms) is CPU-bound, so a
+//! bounded pool of OS threads *is* the right executor; an async reactor would add a
+//! dependency without adding throughput.
 //!
 //! ## Architecture: reader → shared queue → executor pool → per-connection writer
 //!
@@ -54,7 +54,7 @@
 //!   `in_reply_to: null` when not — instead of a dropped connection.
 
 use crate::error::ServeError;
-use crate::framing::{pump_frames, write_responses, ReadStep};
+use crate::framing::{is_tick, write_responses, JsonLine, LineReader};
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
 use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, ServiceStats};
@@ -62,7 +62,7 @@ use crate::{CacheTier, ServedFrom};
 use gem_numeric::Matrix;
 use gem_proto::{self as proto, binary, RequestBody, ResponseBody};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -367,12 +367,6 @@ impl ServerHandle {
         &self.metrics
     }
 
-    /// Render the Prometheus text exposition document for this server, without cache
-    /// statistics (use [`ServerMetrics::render`] with the service's stats for those).
-    pub fn render_metrics(&self) -> String {
-        self.metrics.render(&self.counters, None)
-    }
-
     /// Ask the server to stop: no new connections are accepted, queued and in-flight
     /// requests finish and their responses are flushed, idle connections close within
     /// one read-timeout tick. Safe to call more than once.
@@ -395,7 +389,6 @@ pub struct GemServer {
     metrics: Arc<ServerMetrics>,
     workers: usize,
     queue_capacity: usize,
-    json_only: bool,
 }
 
 impl GemServer {
@@ -414,22 +407,7 @@ impl GemServer {
             metrics: Arc::new(ServerMetrics::new()),
             workers: default_workers(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            json_only: false,
         })
-    }
-
-    /// Decline binary-codec negotiation: the hello line is answered like any malformed
-    /// request (an uncorrelated `protocol_error`), exactly as a pre-v5 build would, so
-    /// negotiating clients downgrade to JSON on the same connection. For debugging and
-    /// for testing the downgrade path (`gem-served --json-only`).
-    pub fn with_json_only(mut self) -> Self {
-        self.json_only = true;
-        self
-    }
-
-    /// Whether this server declines binary-codec negotiation.
-    pub fn json_only(&self) -> bool {
-        self.json_only
     }
 
     /// Set the executor-pool size: how many requests (across all connections) execute
@@ -546,9 +524,8 @@ impl GemServer {
             self.counters.connections.fetch_add(1, Ordering::Relaxed);
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&self.shutdown);
-            let json_only = self.json_only;
             readers.push(std::thread::spawn(move || {
-                read_connection(stream, &queue, &shutdown, json_only);
+                read_connection(stream, &queue, &shutdown);
             }));
             readers.retain(|r| !r.is_finished());
         }
@@ -813,13 +790,8 @@ fn respond_frame(
         Err((id, error)) => {
             counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
             let decode = decode_started.elapsed();
-            let body = ResponseBody::Error {
-                code: error.code().to_string(),
-                message: error.to_string(),
-                retry_after_ms: None,
-            };
             let encode_started = Instant::now();
-            let bytes = encode_error_bytes(frame.codec, id, body);
+            let bytes = encode_error_bytes(frame.codec, id, proto_error_body(&error));
             metrics.observe(
                 RequestShape::ProtocolError,
                 queue_wait,
@@ -916,19 +888,21 @@ fn health_body(metrics: &ServerMetrics) -> ResponseBody {
     }
 }
 
-/// Best-effort id salvage for a line too large to parse: the protocol's own encoder
-/// always emits `{"id":N,` first, so a prefix scan recovers the id from conforming
-/// clients in O(digits) instead of an O(line) JSON parse — an oversized line must
-/// never monopolize its reader just to be rejected. Foreign encodings that put `id`
-/// elsewhere salvage as `None`, which is the documented best-effort contract.
-fn salvage_oversized_id(line: &[u8]) -> Option<u64> {
-    let digits: Vec<u8> = line
-        .strip_prefix(b"{\"id\":")?
-        .iter()
-        .copied()
-        .take_while(u8::is_ascii_digit)
-        .collect();
-    std::str::from_utf8(&digits).ok()?.parse().ok()
+/// Answer a request the reader rejects before queueing it (an over-cap line, a
+/// declined hello, a chunk out of sequence, broken framing): count the protocol error
+/// and send the typed body in the connection's codec.
+fn reject(
+    queue: &WorkQueue,
+    reply: &mpsc::Sender<Vec<u8>>,
+    codec: Codec,
+    id: Option<u64>,
+    error: &proto::ProtoError,
+) {
+    queue
+        .counters
+        .protocol_errors
+        .fetch_add(1, Ordering::Relaxed);
+    let _ = reply.send(encode_error_bytes(codec, id, proto_error_body(error)));
 }
 
 /// Queue one frame (incrementing the connection's in-flight depth first, so the depth
@@ -960,15 +934,13 @@ fn enqueue(
 /// the connection's writer immediately and joins it before exiting, so a reader
 /// finishing (EOF or shutdown) never abandons responses that are still in flight.
 ///
-/// Every connection starts in the JSON codec. Unless the server is `json_only`, the
-/// *first* line may be the `gem_proto::binary` hello: the reader answers the accept
-/// line itself (no executor round-trip — the handshake must resolve before any queued
-/// response could interleave with it) and hands the rest of the stream to
-/// [`read_binary_frames`]. A version-mismatched hello is declined with an uncorrelated
-/// `version_mismatch` line and the connection stays JSON; under `json_only` the hello
-/// is not intercepted at all and fails as the malformed JSON line it is — exactly the
-/// pre-v5 behaviour clients treat as "negotiate down".
-fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool, json_only: bool) {
+/// Every connection starts in the JSON codec, read through the capped
+/// [`LineReader`]. The *first* line may be the `gem_proto::binary` hello: the reader
+/// answers the accept line itself (no executor round-trip — the handshake must resolve
+/// before any queued response could interleave with it) and hands the rest of the
+/// stream to [`read_binary_frames`]. A version-mismatched hello is declined with an
+/// uncorrelated `version_mismatch` line and the connection stays JSON.
+fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) {
     // The read timeout is a shutdown tick, not a deadline: on timeout the partial line
     // is kept and reading resumes, so slow writers lose nothing.
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
@@ -987,113 +959,57 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool, 
     let mut reader = BufReader::new(stream);
     // The connection's in-flight depth: shared with every frame this reader queues.
     let depth = Arc::new(AtomicU64::new(0));
-    // Lines are accumulated as raw bytes, NOT via `read_line`: `read_line`'s built-in
-    // UTF-8 validation (a) turns any invalid byte into an error that would drop the
-    // connection without a response, and (b) *discards* bytes already consumed from the
-    // stream when a read-timeout tick fires mid-multibyte character — a slow writer
-    // would silently lose part of a valid request. `read_until` keeps every byte across
-    // ticks; UTF-8 is validated by the executor, where a failure can be answered
-    // properly.
-    let mut line: Vec<u8> = Vec::new();
-    let mut awaiting_first_line = !json_only;
-    // Set after an oversized line was answered: the rest of that line (still in
-    // flight on the socket) is discarded up to its newline, then parsing resumes.
-    let mut discarding = false;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break, // EOF
-            Ok(n) => {
-                queue.metrics.count_wire_read(n as u64);
-                if discarding {
-                    if line.ends_with(b"\n") {
-                        discarding = false;
-                    }
-                    line.clear();
-                    continue;
-                }
-                if line.len() > proto::MAX_JSON_LINE_BYTES {
-                    // Answer directly (never queue a rejected line). The id is
-                    // salvaged with a prefix scan, NOT `salvage_request_id`: parsing
-                    // megabytes of JSON just to reject them would let an oversized
-                    // line monopolize this reader.
-                    queue
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let id = salvage_oversized_id(&line);
-                    let body = ResponseBody::Error {
-                        code: "protocol_error".to_string(),
-                        message: format!(
-                            "request line exceeds the {} byte JSON cap; negotiate the \
-                             binary codec and use a chunked corpus upload",
-                            proto::MAX_JSON_LINE_BYTES
-                        ),
-                        retry_after_ms: None,
-                    };
-                    let _ = reply_tx.send(encode_error_bytes(Codec::Json, id, body));
-                    discarding = !line.ends_with(b"\n");
-                    line.clear();
-                    awaiting_first_line = false;
-                    continue;
-                }
-                if awaiting_first_line {
-                    awaiting_first_line = false;
-                    if let Some(version) = std::str::from_utf8(&line)
-                        .ok()
-                        .and_then(binary::parse_hello)
-                    {
-                        if version == proto::PROTOCOL_VERSION {
-                            let _ = reply_tx.send(binary::accept_line().into_bytes());
-                            line.clear();
-                            read_binary_frames(&mut reader, queue, shutdown, &reply_tx, &depth);
-                            break;
-                        }
-                        // A hello from a different protocol generation: decline it
-                        // (typed, uncorrelated) and keep speaking JSON.
-                        queue
-                            .counters
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        let body = ResponseBody::Error {
-                            code: "version_mismatch".to_string(),
-                            message: format!(
-                                "binary hello speaks protocol version {version}, \
-                                 this server speaks {}",
-                                proto::PROTOCOL_VERSION
-                            ),
-                            retry_after_ms: None,
-                        };
-                        let _ = reply_tx.send(encode_error_bytes(Codec::Json, None, body));
-                        line.clear();
-                        continue;
-                    }
-                    // Not a hello: fall through and treat it as the JSON line it is.
-                }
-                // A line without a trailing newline means EOF-mid-line; it is answered
-                // best-effort like any other, and the next read will report EOF.
-                if !line.iter().all(u8::is_ascii_whitespace) {
-                    enqueue(
-                        queue,
-                        FramePayload::JsonLine(std::mem::take(&mut line)),
-                        Codec::Json,
-                        &reply_tx,
-                        &depth,
-                    );
-                }
-                line.clear();
+    let mut lines = LineReader::default();
+    let mut awaiting_first_line = true;
+    while !shutdown.load(Ordering::SeqCst) {
+        let line = match lines.read(&mut reader) {
+            Ok((line, read)) => {
+                queue.metrics.count_wire_read(read as u64);
+                line
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // shutdown tick; keep any partial line (bytes, not chars)
-            }
+            Err(e) if is_tick(&e) => continue, // shutdown tick; the partial line is kept
             Err(_) => break,
+        };
+        let line = match line {
+            JsonLine::Line(line) => line,
+            JsonLine::Oversized { id, error } => {
+                reject(queue, &reply_tx, Codec::Json, id, &error);
+                awaiting_first_line = false;
+                continue;
+            }
+            JsonLine::Eof => break,
+        };
+        if std::mem::take(&mut awaiting_first_line) {
+            if let Some(version) = std::str::from_utf8(&line)
+                .ok()
+                .and_then(binary::parse_hello)
+            {
+                if version == proto::PROTOCOL_VERSION {
+                    let _ = reply_tx.send(binary::accept_line().into_bytes());
+                    read_binary_frames(&mut reader, queue, shutdown, &reply_tx, &depth);
+                    break;
+                }
+                // A hello from a different protocol generation: decline it (typed,
+                // uncorrelated) and keep speaking JSON.
+                let error = proto::ProtoError::VersionMismatch {
+                    found: version,
+                    expected: proto::PROTOCOL_VERSION,
+                };
+                reject(queue, &reply_tx, Codec::Json, None, &error);
+                continue;
+            }
+            // Not a hello: fall through and treat it as the JSON line it is.
+        }
+        // A line without a trailing newline means EOF-mid-line; it is answered
+        // best-effort like any other, and the next read will report EOF.
+        if !line.iter().all(u8::is_ascii_whitespace) {
+            enqueue(
+                queue,
+                FramePayload::JsonLine(line),
+                Codec::Json,
+                &reply_tx,
+                &depth,
+            );
         }
     }
     // Drop this reader's sender; the writer exits once every frame queued for this
@@ -1141,24 +1057,15 @@ fn read_binary_frames(
                                 depth,
                             ),
                             Ok(None) => {}
-                            Err(error) => {
-                                // The violating upload's state is dropped, but the
-                                // framing is intact: answer and keep serving.
-                                queue
-                                    .counters
-                                    .protocol_errors
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let body = ResponseBody::Error {
-                                    code: error.code().to_string(),
-                                    message: error.to_string(),
-                                    retry_after_ms: None,
-                                };
-                                let _ = reply_tx.send(encode_error_bytes(
-                                    Codec::Binary,
-                                    frame.correlation_id(),
-                                    body,
-                                ));
-                            }
+                            // The violating upload's state is dropped, but the framing
+                            // is intact: answer and keep serving.
+                            Err(error) => reject(
+                                queue,
+                                reply_tx,
+                                Codec::Binary,
+                                frame.correlation_id(),
+                                &error,
+                            ),
                         }
                     } else {
                         enqueue(
@@ -1173,23 +1080,16 @@ fn read_binary_frames(
                 Ok(None) => break,
                 Err(error) => {
                     // Framing lost: nothing after this point can be trusted.
-                    queue
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let body = ResponseBody::Error {
-                        code: error.code().to_string(),
-                        message: error.to_string(),
-                        retry_after_ms: None,
-                    };
-                    let _ = reply_tx.send(encode_error_bytes(Codec::Binary, None, body));
+                    reject(queue, reply_tx, Codec::Binary, None, &error);
                     return;
                 }
             }
         }
-        match pump_frames(reader, &mut assembler, &queue.metrics) {
-            ReadStep::Bytes | ReadStep::Tick => {}
-            ReadStep::Eof | ReadStep::Failed => return,
+        match assembler.fill_from(reader) {
+            Ok(0) => return,
+            Ok(read) => queue.metrics.count_wire_read(read as u64),
+            Err(e) if is_tick(&e) => {}
+            Err(_) => return,
         }
     }
 }
@@ -1343,6 +1243,14 @@ pub(crate) fn response_to_wire(response: ServeResponse) -> ResponseBody {
     }
 }
 
+fn proto_error_body(error: &proto::ProtoError) -> ResponseBody {
+    ResponseBody::Error {
+        code: error.code().to_string(),
+        message: error.to_string(),
+        retry_after_ms: None,
+    }
+}
+
 fn error_body(error: &ServeError) -> ResponseBody {
     ResponseBody::Error {
         code: error.code().to_string(),
@@ -1366,7 +1274,7 @@ mod tests {
     use super::*;
     use crate::client::{ClientError, GemClient};
     use gem_core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
-    use std::io::Write;
+    use std::io::{BufRead, Write};
 
     fn corpus() -> Vec<GemColumn> {
         (0..5)
@@ -1738,38 +1646,30 @@ mod tests {
     }
 
     #[test]
-    fn json_only_servers_downgrade_negotiating_clients_on_the_same_connection() {
-        let config = GemConfig::fast();
-        let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
-        service.register_gem_family(&config);
-        let server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
-            .unwrap()
-            .with_workers(2)
-            .with_json_only();
-        let handle = server.handle().unwrap();
-        let join = std::thread::spawn(move || server.run());
+    fn declined_hellos_are_typed_errors_not_json_downgrades() {
+        // A peer that declines the binary offer the way a server at another protocol
+        // version does: one uncorrelated version_mismatch line.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut hello = String::new();
+            reader.read_line(&mut hello).unwrap();
+            let decline = proto::ResponseEnvelope::uncorrelated(ResponseBody::Error {
+                code: "version_mismatch".to_string(),
+                message: "this peer speaks another protocol version".to_string(),
+                retry_after_ms: None,
+            });
+            (&stream)
+                .write_all(proto::encode_response(&decline).as_bytes())
+                .unwrap();
+            hello
+        });
 
-        // The hello is answered like any malformed JSON line; the client consumes the
-        // decline and keeps working — same connection, JSON codec.
-        let mut client = GemClient::connect(handle.addr()).unwrap();
-        assert_eq!(client.codec_name(), "json");
-        let cols = corpus();
-        let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
-        let served = client.embed(fitted.handle, &cols).unwrap();
-        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
-            .unwrap()
-            .transform(&cols)
-            .unwrap();
-        assert_eq!(served.matrix, direct.matrix);
-        assert_eq!(
-            handle.counters().connections(),
-            1,
-            "the downgrade must not reconnect"
-        );
-        // The declined hello is the connection's one protocol error.
-        assert_eq!(handle.counters().protocol_errors(), 1);
-        handle.shutdown();
-        join.join().unwrap().unwrap();
+        let err = GemClient::connect(addr).expect_err("a declined offer fails the connect");
+        assert_eq!(err.code(), Some("version_mismatch"), "{err:?}");
+        assert_eq!(binary::parse_hello(&peer.join().unwrap()), Some(5));
     }
 
     #[test]

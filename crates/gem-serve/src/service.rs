@@ -29,7 +29,7 @@
 use crate::cache::CachePolicy;
 use crate::engine::{BatchEngine, EngineRequest, FitJob, ServedFrom};
 use crate::error::ServeError;
-use crate::fingerprint::model_key;
+use crate::fingerprint::{corpus_fingerprint, fit_key};
 use crate::handle::ModelHandle;
 use crate::CacheTier;
 use gem_core::{
@@ -508,14 +508,12 @@ impl EmbedService {
             match request {
                 ServeRequest::Fit {
                     corpus,
-                    mut config,
+                    config,
                     features,
                     composition,
                 } => {
-                    if let Some(composition) = composition {
-                        config.composition = composition;
-                    }
-                    let key = model_key(&corpus, &config, features);
+                    let (key, config) =
+                        fit_key(corpus_fingerprint(&corpus), config, features, composition);
                     fit_slots.push(i);
                     fit_jobs.push(FitJob {
                         key,
@@ -711,6 +709,7 @@ impl EmbedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::model_key;
     use gem_core::{ColumnEmbedder, GemEmbedder, GemError, GemModel};
 
     fn corpus() -> Arc<Vec<GemColumn>> {

@@ -7,7 +7,7 @@
 //! input that changes the fitted model: any value bit, any header byte, the column
 //! order, and every configuration field.
 
-use gem_core::{FeatureSet, GemColumn, GemConfig};
+use gem_core::{Composition, FeatureSet, GemColumn, GemConfig};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -170,6 +170,27 @@ pub fn model_key(columns: &[GemColumn], config: &GemConfig, features: FeatureSet
         corpus: corpus_fingerprint(columns),
         config: config_fingerprint(config, features),
     }
+}
+
+/// The key of a `Fit` request's model and the configuration the fit runs with: a
+/// `composition` override replaces `config.composition` before the configuration is
+/// hashed. The serving tier fits under this key and the routing tier places the model
+/// by it before it exists, so both derive it here. `corpus` is the corpus fingerprint,
+/// computed whole ([`corpus_fingerprint`]) or as chunks arrive ([`CorpusHasher`]).
+pub fn fit_key(
+    corpus: u64,
+    mut config: GemConfig,
+    features: FeatureSet,
+    composition: Option<Composition>,
+) -> (ModelKey, GemConfig) {
+    if let Some(composition) = composition {
+        config.composition = composition;
+    }
+    let key = ModelKey {
+        corpus,
+        config: config_fingerprint(&config, features),
+    };
+    (key, config)
 }
 
 /// The key of the model produced by folding `new_columns` into the model at `parent` via

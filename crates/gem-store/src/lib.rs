@@ -31,7 +31,7 @@ pub mod fingerprint;
 mod store;
 
 pub use fingerprint::{
-    config_fingerprint, corpus_fingerprint, model_key, updated_model_key,
+    config_fingerprint, corpus_fingerprint, fit_key, model_key, updated_model_key,
     updated_model_key_from_fingerprint, CorpusHasher, ModelKey,
 };
 pub use store::{
