@@ -126,7 +126,10 @@ pub struct GemConfig {
     pub composition: Composition,
     /// Compute per-column signatures on multiple threads. The signature step is
     /// embarrassingly parallel over columns; this is what keeps Gem's runtime growth
-    /// sub-linear in practice (Figure 5).
+    /// sub-linear in practice (Figure 5). The fan-out only starts when one call's columns
+    /// hold at least 4096 values in total; smaller calls run serially either way, because
+    /// spawning the workers would cost more than it saves. Output bits never depend on
+    /// this flag.
     pub parallel: bool,
 }
 

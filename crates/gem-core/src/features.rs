@@ -1,6 +1,6 @@
 //! Statistical feature extraction (§3.2).
 
-use gem_numeric::stats::ColumnStats;
+use gem_numeric::stats::gem_statistics;
 use gem_numeric::Matrix;
 
 /// The names of the seven Gem statistical features, in matrix-column order.
@@ -28,21 +28,24 @@ pub const STATISTICAL_FEATURE_NAMES: [&str; 7] = [
 /// Empty columns produce an all-zero feature row rather than an error, so a corpus with a
 /// degenerate column can still be embedded (the paper's corpora contain short columns, and a
 /// pipeline that aborts on one bad column would be unusable on a data lake).
+///
+/// One sort buffer serves every column; it grows only when a column is longer than every
+/// earlier one.
 pub fn statistical_feature_matrix<S: AsRef<[f64]>>(columns: &[S]) -> Matrix {
     let n_features = STATISTICAL_FEATURE_NAMES.len();
     let mut out = Matrix::zeros(columns.len(), n_features);
-    for (i, values) in columns.iter().enumerate() {
-        let values = values.as_ref();
-        if values.is_empty() {
-            continue;
-        }
-        if let Ok(stats) = ColumnStats::compute(values) {
-            let f = stats.gem_features();
-            for (j, v) in f.into_iter().enumerate() {
+    let mut sorted = Vec::new();
+    for (values, row) in columns
+        .iter()
+        .zip(out.as_mut_slice().chunks_exact_mut(n_features))
+    {
+        // An empty column errors and keeps its all-zero row.
+        if let Ok(features) = gem_statistics(values.as_ref(), &mut sorted) {
+            for (slot, v) in row.iter_mut().zip(features) {
                 // Guard against pathological inputs (e.g. a column of identical ±inf): any
                 // non-finite feature is zeroed instead of poisoning the standardisation.
                 let v = if v.is_finite() { v } else { 0.0 };
-                out.set(i, j, v.signum() * (1.0 + v.abs()).ln());
+                *slot = v.signum() * (1.0 + v.abs()).ln();
             }
         }
     }

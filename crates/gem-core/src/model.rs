@@ -922,6 +922,35 @@ mod tests {
     }
 
     #[test]
+    fn parallel_flag_never_changes_transform_bits_on_either_side_of_the_work_gate() {
+        let cols = corpus();
+        let fit = |parallel| {
+            let config = GemConfig::fast().with_parallel(parallel);
+            GemModel::fit(&cols, &config, FeatureSet::dsc()).unwrap()
+        };
+        let (serial, parallel) = (fit(false), fit(true));
+        for n_queries in [2, 200] {
+            let queries: Vec<GemColumn> = cols.iter().cycle().take(n_queries).cloned().collect();
+            let values: usize = queries.iter().map(|c| c.values.len()).sum();
+            assert_eq!(
+                values >= crate::signature::PARALLEL_MIN_VALUES,
+                n_queries == 200,
+                "{values} values"
+            );
+            let bits = |model: &GemModel| -> Vec<u64> {
+                let embedding = model.transform(&queries).unwrap();
+                embedding
+                    .matrix
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&serial), bits(&parallel), "{n_queries} columns");
+        }
+    }
+
+    #[test]
     fn serial_and_parallel_model_fits_are_bit_identical() {
         let cols = corpus();
         let serial_cfg = GemConfig::fast().with_parallel(false);

@@ -4,7 +4,9 @@
 //! statistical features selected from the Pythagoras feature set: unique count, mean,
 //! coefficient of variation, entropy, range and the 10th/90th percentiles. This module
 //! implements those features (plus a few extra moments used by the Sherlock/Sato baselines)
-//! on raw `&[f64]` slices.
+//! on raw `&[f64]` slices. One kernel serves both: [`gem_statistics`] for the seven Gem
+//! features and [`ColumnStats::compute`] for the full bundle share a single sort of one
+//! copy of the column.
 
 use crate::error::{NumericError, NumericResult};
 
@@ -26,23 +28,6 @@ pub fn mean(values: &[f64]) -> NumericResult<f64> {
 pub fn variance(values: &[f64]) -> NumericResult<f64> {
     let m = mean(values)?;
     Ok(values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / values.len() as f64)
-}
-
-/// Sample variance (divides by `n - 1`); falls back to 0 for a single observation.
-///
-/// # Errors
-/// Returns [`NumericError::EmptyInput`] for an empty slice.
-pub fn sample_variance(values: &[f64]) -> NumericResult<f64> {
-    if values.is_empty() {
-        return Err(NumericError::EmptyInput {
-            operation: "sample_variance",
-        });
-    }
-    if values.len() == 1 {
-        return Ok(0.0);
-    }
-    let m = mean(values)?;
-    Ok(values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (values.len() - 1) as f64)
 }
 
 /// Population standard deviation.
@@ -75,14 +60,6 @@ pub fn max(values: &[f64]) -> NumericResult<f64> {
     Ok(values.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// Range (`max - min`), one of the Gem statistical features.
-///
-/// # Errors
-/// Returns [`NumericError::EmptyInput`] for an empty slice.
-pub fn range(values: &[f64]) -> NumericResult<f64> {
-    Ok(max(values)? - min(values)?)
-}
-
 /// Linear-interpolation percentile, `p` in `[0, 100]`.
 ///
 /// Matches the common "linear" (type-7) definition used by NumPy's default `percentile`.
@@ -102,24 +79,33 @@ pub fn percentile(values: &[f64], p: f64) -> NumericResult<f64> {
             reason: format!("percentile must be in [0, 100], got {p}"),
         });
     }
-    let mut sorted = values.to_vec();
+    let mut sorted = Vec::new();
+    sort_into(values, &mut sorted);
+    Ok(percentile_of_sorted(&sorted, p))
+}
+
+/// Overwrite `sorted` with an ascending copy of `values`, reusing its allocation.
+///
+/// The sort is the stable `partial_cmp` sort with incomparable pairs (NaN) treated as
+/// equal. Every percentile in this module reads from it, so the order of `±0.0` and
+/// the placement of NaNs are part of the output bits: an unstable sort, `total_cmp` or a
+/// selection algorithm would move them.
+fn sort_into(values: &[f64], sorted: &mut Vec<f64>) {
+    sorted.clear();
+    sorted.extend_from_slice(values);
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+}
+
+/// Type-7 percentile of an already sorted, non-empty slice; `p` in `[0, 100]`.
+fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        return Ok(sorted[lo]);
+        return sorted[lo];
     }
     let frac = rank - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (50th percentile).
-///
-/// # Errors
-/// Returns [`NumericError::EmptyInput`] for an empty slice.
-pub fn median(values: &[f64]) -> NumericResult<f64> {
-    percentile(values, 50.0)
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// Number of distinct values. Values are compared via their bit pattern after canonicalising
@@ -140,51 +126,30 @@ pub fn unique_count(values: &[f64]) -> usize {
     set.len()
 }
 
-/// Coefficient of variation: `std / |mean|`. Returns 0 when the mean is (numerically) zero,
-/// mirroring the "relative dispersion is undefined around zero" convention used in the
-/// Pythagoras feature set the paper borrows from.
+/// The seven Gem statistical features of §3.2 of one column, in
+/// [`ColumnStats::gem_features`] order: `[unique_count, mean, cv, entropy, range, p10,
+/// p90]`. Bit-identical to `ColumnStats::compute(values)?.gem_features()`, but it skips
+/// skewness and kurtosis and sorts into the caller's `sorted` buffer, so a caller
+/// walking many columns reallocates only when a column is longer than every earlier one.
 ///
 /// # Errors
 /// Returns [`NumericError::EmptyInput`] for an empty slice.
-pub fn coefficient_of_variation(values: &[f64]) -> NumericResult<f64> {
-    let m = mean(values)?;
-    let s = std_dev(values)?;
-    if m.abs() < 1e-12 {
-        return Ok(0.0);
-    }
-    Ok(s / m.abs())
+pub fn gem_statistics(values: &[f64], sorted: &mut Vec<f64>) -> NumericResult<[f64; 7]> {
+    Ok(ColumnStats::single_sort(values, sorted)?.gem_features())
 }
 
-/// Shannon entropy (in nats) of the empirical distribution obtained by binning the values
-/// into `bins` equal-width bins. Columns whose values are all identical have zero entropy.
-///
-/// # Errors
-/// Returns [`NumericError::EmptyInput`] for an empty slice and
-/// [`NumericError::InvalidParameter`] when `bins == 0`.
-pub fn entropy(values: &[f64], bins: usize) -> NumericResult<f64> {
-    if values.is_empty() {
-        return Err(NumericError::EmptyInput {
-            operation: "entropy",
-        });
-    }
-    if bins == 0 {
-        return Err(NumericError::InvalidParameter {
-            name: "bins",
-            reason: "entropy requires at least one bin".into(),
-        });
-    }
-    let lo = min(values)?;
-    let hi = max(values)?;
+/// Shannon entropy (in nats) of the values binned into [`ColumnStats::ENTROPY_BINS`]
+/// equal-width bins over `[lo, hi]`, the column's min and max. Zero when all values are
+/// (numerically) identical.
+fn binned_entropy(values: &[f64], lo: f64, hi: f64) -> f64 {
+    const BINS: usize = ColumnStats::ENTROPY_BINS;
     if (hi - lo).abs() < f64::EPSILON {
-        return Ok(0.0);
+        return 0.0;
     }
-    let width = (hi - lo) / bins as f64;
-    let mut counts = vec![0usize; bins];
+    let width = (hi - lo) / BINS as f64;
+    let mut counts = [0usize; BINS];
     for &v in values {
-        let mut idx = ((v - lo) / width) as usize;
-        if idx >= bins {
-            idx = bins - 1;
-        }
+        let idx = (((v - lo) / width) as usize).min(BINS - 1);
         counts[idx] += 1;
     }
     let n = values.len() as f64;
@@ -196,35 +161,7 @@ pub fn entropy(values: &[f64], bins: usize) -> NumericResult<f64> {
         let p = c as f64 / n;
         h -= p * p.ln();
     }
-    Ok(h)
-}
-
-/// Sample skewness (Fisher–Pearson, biased). Zero for constant columns.
-///
-/// # Errors
-/// Returns [`NumericError::EmptyInput`] for an empty slice.
-pub fn skewness(values: &[f64]) -> NumericResult<f64> {
-    let m = mean(values)?;
-    let s = std_dev(values)?;
-    if s < 1e-12 {
-        return Ok(0.0);
-    }
-    let n = values.len() as f64;
-    Ok(values.iter().map(|x| ((x - m) / s).powi(3)).sum::<f64>() / n)
-}
-
-/// Excess kurtosis (biased). Zero for constant columns.
-///
-/// # Errors
-/// Returns [`NumericError::EmptyInput`] for an empty slice.
-pub fn kurtosis(values: &[f64]) -> NumericResult<f64> {
-    let m = mean(values)?;
-    let s = std_dev(values)?;
-    if s < 1e-12 {
-        return Ok(0.0);
-    }
-    let n = values.len() as f64;
-    Ok(values.iter().map(|x| ((x - m) / s).powi(4)).sum::<f64>() / n - 3.0)
+    h
 }
 
 /// Summary of a numeric column, bundling the statistics the Gem pipeline and the baselines
@@ -265,38 +202,87 @@ impl ColumnStats {
     /// Number of bins used for the entropy estimate.
     pub const ENTROPY_BINS: usize = 32;
 
-    /// Compute the full statistics bundle for a column.
+    /// Compute the full statistics bundle for a column: the shared single-sort kernel
+    /// plus skewness and kurtosis from the kernel's mean and standard deviation.
     ///
     /// # Errors
     /// Returns [`NumericError::EmptyInput`] for an empty column.
     pub fn compute(values: &[f64]) -> NumericResult<Self> {
+        let mut stats = Self::single_sort(values, &mut Vec::new())?;
+        let (m, s, n) = (stats.mean, stats.std_dev, values.len() as f64);
+        // Both moments are zero for a constant column.
+        (stats.skewness, stats.kurtosis) = if s < 1e-12 {
+            (0.0, 0.0)
+        } else {
+            (
+                values.iter().map(|x| ((x - m) / s).powi(3)).sum::<f64>() / n,
+                values.iter().map(|x| ((x - m) / s).powi(4)).sum::<f64>() / n - 3.0,
+            )
+        };
+        Ok(stats)
+    }
+
+    /// The kernel behind both [`ColumnStats::compute`] and [`gem_statistics`]: every
+    /// statistic except skewness and kurtosis (left at zero), from one sort of a copy of
+    /// the column written into the reused `sorted` buffer.
+    ///
+    /// Each statistic keeps the summation order of its textbook definition, so the
+    /// output is bit-for-bit what separate passes would give:
+    /// - the mean is one `Iterator::sum`, whose fold starts from `-0.0` and so keeps
+    ///   the sign of an all-`-0.0` column;
+    /// - min and max are the `f64::min`/`f64::max` folds, which skip NaNs;
+    /// - the variance sums squared deviations from that mean, in column order;
+    /// - the unique count is `1 +` the number of adjacent `!=` pairs of the sorted copy
+    ///   (`==` already merges `-0.0` and `0.0`); a NaN breaks the sort's ordering, so a
+    ///   column holding one falls back to [`unique_count`].
+    fn single_sort(values: &[f64], sorted: &mut Vec<f64>) -> NumericResult<Self> {
         if values.is_empty() {
             return Err(NumericError::EmptyInput {
                 operation: "ColumnStats::compute",
             });
         }
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let (mut lo, mut hi, mut has_nan) = (f64::INFINITY, f64::NEG_INFINITY, false);
+        for &v in values {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            has_nan |= v.is_nan();
+        }
+        let std_dev = (values.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt();
+        let coefficient_of_variation = if mean.abs() < 1e-12 {
+            0.0
+        } else {
+            std_dev / mean.abs()
+        };
+        sort_into(values, sorted);
+        let unique_count = if has_nan {
+            unique_count(values)
+        } else {
+            1 + sorted.windows(2).filter(|w| w[0] != w[1]).count()
+        };
         Ok(ColumnStats {
             count: values.len(),
-            unique_count: unique_count(values),
-            mean: mean(values)?,
-            std_dev: std_dev(values)?,
-            coefficient_of_variation: coefficient_of_variation(values)?,
-            entropy: entropy(values, Self::ENTROPY_BINS)?,
-            min: min(values)?,
-            max: max(values)?,
-            range: range(values)?,
-            percentile_10: percentile(values, 10.0)?,
-            percentile_90: percentile(values, 90.0)?,
-            median: median(values)?,
-            skewness: skewness(values)?,
-            kurtosis: kurtosis(values)?,
+            unique_count,
+            mean,
+            std_dev,
+            coefficient_of_variation,
+            entropy: binned_entropy(values, lo, hi),
+            min: lo,
+            max: hi,
+            range: hi - lo,
+            percentile_10: percentile_of_sorted(sorted, 10.0),
+            percentile_90: percentile_of_sorted(sorted, 90.0),
+            median: percentile_of_sorted(sorted, 50.0),
+            skewness: 0.0,
+            kurtosis: 0.0,
         })
     }
 
     /// The seven Gem statistical features of §3.2, in a fixed order:
     /// `[unique_count, mean, cv, entropy, range, p10, p90]`.
-    pub fn gem_features(&self) -> Vec<f64> {
-        vec![
+    pub fn gem_features(&self) -> [f64; 7] {
+        [
             self.unique_count as f64,
             self.mean,
             self.coefficient_of_variation,
@@ -310,7 +296,7 @@ impl ColumnStats {
     /// The extended feature vector used by the Sherlock_SC / Sato_SC baselines
     /// (`gem_features` plus std-dev, skewness, kurtosis, median and count).
     pub fn extended_features(&self) -> Vec<f64> {
-        let mut f = self.gem_features();
+        let mut f = self.gem_features().to_vec();
         f.extend_from_slice(&[
             self.std_dev,
             self.skewness,
@@ -328,19 +314,17 @@ mod tests {
 
     const EPS: f64 = 1e-9;
 
+    fn stats(values: &[f64]) -> ColumnStats {
+        ColumnStats::compute(values).unwrap()
+    }
+
     #[test]
     fn mean_variance_std() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v).unwrap() - 5.0).abs() < EPS);
         assert!((variance(&v).unwrap() - 4.0).abs() < EPS);
         assert!((std_dev(&v).unwrap() - 2.0).abs() < EPS);
-    }
-
-    #[test]
-    fn sample_variance_divides_by_n_minus_1() {
-        let v = [1.0, 2.0, 3.0];
-        assert!((sample_variance(&v).unwrap() - 1.0).abs() < EPS);
-        assert_eq!(sample_variance(&[5.0]).unwrap(), 0.0);
+        assert!((stats(&v).std_dev - 2.0).abs() < EPS);
     }
 
     #[test]
@@ -350,8 +334,8 @@ mod tests {
         assert!(min(&[]).is_err());
         assert!(max(&[]).is_err());
         assert!(percentile(&[], 50.0).is_err());
-        assert!(entropy(&[], 10).is_err());
         assert!(ColumnStats::compute(&[]).is_err());
+        assert!(gem_statistics(&[], &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -359,7 +343,8 @@ mod tests {
         let v = [3.0, -1.0, 7.5, 2.0];
         assert_eq!(min(&v).unwrap(), -1.0);
         assert_eq!(max(&v).unwrap(), 7.5);
-        assert_eq!(range(&v).unwrap(), 8.5);
+        let s = stats(&v);
+        assert_eq!((s.min, s.max, s.range), (-1.0, 7.5, 8.5));
     }
 
     #[test]
@@ -382,12 +367,17 @@ mod tests {
                 (percentile(&sorted, p).unwrap() - percentile(&shuffled, p).unwrap()).abs() < EPS
             );
         }
+        let (a, b) = (stats(&sorted), stats(&shuffled));
+        assert_eq!(
+            (a.percentile_10, a.median, a.percentile_90),
+            (b.percentile_10, b.median, b.percentile_90)
+        );
     }
 
     #[test]
     fn median_odd_and_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
+        assert_eq!(stats(&[3.0, 1.0, 2.0]).median, 2.0);
+        assert_eq!(stats(&[4.0, 1.0, 2.0, 3.0]).median, 2.5);
     }
 
     #[test]
@@ -400,14 +390,14 @@ mod tests {
 
     #[test]
     fn cv_zero_mean_is_zero() {
-        assert_eq!(coefficient_of_variation(&[-1.0, 1.0]).unwrap(), 0.0);
+        assert_eq!(stats(&[-1.0, 1.0]).coefficient_of_variation, 0.0);
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((coefficient_of_variation(&v).unwrap() - 0.4).abs() < EPS);
+        assert!((stats(&v).coefficient_of_variation - 0.4).abs() < EPS);
     }
 
     #[test]
     fn entropy_constant_column_is_zero() {
-        assert_eq!(entropy(&[5.0; 100], 10).unwrap(), 0.0);
+        assert_eq!(stats(&[5.0; 100]).entropy, 0.0);
     }
 
     #[test]
@@ -416,39 +406,34 @@ mod tests {
         let concentrated: Vec<f64> = (0..1000)
             .map(|i| if i < 990 { 0.0 } else { i as f64 })
             .collect();
-        let hu = entropy(&uniform, 20).unwrap();
-        let hc = entropy(&concentrated, 20).unwrap();
+        let hu = stats(&uniform).entropy;
+        let hc = stats(&concentrated).entropy;
         assert!(hu > hc);
-        assert!(hu <= (20.0f64).ln() + EPS);
-    }
-
-    #[test]
-    fn entropy_zero_bins_is_error() {
-        assert!(entropy(&[1.0, 2.0], 0).is_err());
+        assert!(hu <= (ColumnStats::ENTROPY_BINS as f64).ln() + EPS);
     }
 
     #[test]
     fn skewness_symmetric_is_zero() {
         let v = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        assert!(skewness(&v).unwrap().abs() < EPS);
-        assert_eq!(skewness(&[3.0, 3.0, 3.0]).unwrap(), 0.0);
+        assert!(stats(&v).skewness.abs() < EPS);
+        assert_eq!(stats(&[3.0, 3.0, 3.0]).skewness, 0.0);
     }
 
     #[test]
     fn skewness_right_tail_is_positive() {
         let v = [1.0, 1.0, 1.0, 1.0, 10.0];
-        assert!(skewness(&v).unwrap() > 0.0);
+        assert!(stats(&v).skewness > 0.0);
     }
 
     #[test]
     fn kurtosis_constant_is_zero() {
-        assert_eq!(kurtosis(&[1.0, 1.0]).unwrap(), 0.0);
+        assert_eq!(stats(&[1.0, 1.0]).kurtosis, 0.0);
     }
 
     #[test]
     fn column_stats_bundle() {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = ColumnStats::compute(&v).unwrap();
+        let s = stats(&v);
         assert_eq!(s.count, 100);
         assert_eq!(s.unique_count, 100);
         assert!((s.mean - 50.5).abs() < EPS);
@@ -457,14 +442,13 @@ mod tests {
         assert_eq!(s.range, 99.0);
         assert!((s.percentile_10 - 10.9).abs() < EPS);
         assert!((s.percentile_90 - 90.1).abs() < EPS);
-        assert_eq!(s.gem_features().len(), 7);
         assert_eq!(s.extended_features().len(), 12);
     }
 
     #[test]
     fn gem_features_order_is_stable() {
         let v = [1.0, 2.0, 3.0, 4.0];
-        let s = ColumnStats::compute(&v).unwrap();
+        let s = stats(&v);
         let f = s.gem_features();
         assert_eq!(f[0], s.unique_count as f64);
         assert_eq!(f[1], s.mean);
@@ -473,5 +457,17 @@ mod tests {
         assert_eq!(f[4], s.range);
         assert_eq!(f[5], s.percentile_10);
         assert_eq!(f[6], s.percentile_90);
+    }
+
+    #[test]
+    fn gem_statistics_reuses_one_sort_buffer_across_columns() {
+        let mut sorted = Vec::new();
+        let long: Vec<f64> = (0..64).map(|i| (i * 37 % 64) as f64).collect();
+        for values in [&long[..], &[2.0, 1.0][..], &long[..7]] {
+            let fused = gem_statistics(values, &mut sorted).unwrap();
+            let full = stats(values).gem_features();
+            assert_eq!(fused.map(f64::to_bits), full.map(f64::to_bits));
+        }
+        assert!(sorted.capacity() >= long.len());
     }
 }
